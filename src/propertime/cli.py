@@ -1,9 +1,11 @@
 """Batch scenario front end: ``ptcli <scenario> --config cfg.json``.
 
-Configs are flat JSON objects with a mandatory ``scenario`` key; unknown
-keys are rejected.  Output is CSV with ``#``-prefixed metadata lines
-followed by a header row and data rows.  Identical configs produce
-byte-identical data rows.
+Configs are flat JSON objects with a mandatory ``scenario`` key.  Each
+scenario declares its keys once in :data:`SCENARIOS`; unknown keys and
+values of the wrong type, shape or range are rejected before the scenario
+runs.  Output is CSV with ``#``-prefixed metadata lines followed by a
+header row and data rows.  Identical configs produce byte-identical data
+rows.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure.
 """
@@ -11,7 +13,6 @@ Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -26,49 +27,69 @@ from . import __version__, constants, dynamics, fields, group, kinematics, many,
 from .errors import PropertimeError
 from .kinematics import NATURAL, SI, UnitSystem
 
-__all__ = [
-    "ScenarioConfig",
-    "ResultTable",
-    "RedshiftResult",
-    "redshift_z",
-    "scenario_muon",
-    "scenario_rest_source",
-    "run_config",
-    "main",
-]
-
-SCENARIOS = (
-    "transform",
-    "fields",
-    "orbit",
-    "nbody",
-    "spectral",
-    "redshift",
-    "muon",
-    "rest_source",
-)
-
-# required / optional parameter keys per scenario
-_SCHEMA = {
-    "transform": ({"v"}, {"x", "u", "a", "tau", "b_bar"}),
-    "fields": ({"charge", "u"}, {"radius", "points", "tau"}),
-    "orbit": ({"m", "x0", "p0", "dtau", "steps"}, {"potential", "strength", "record_every"}),
-    "nbody": ({"n"}, {"p_max", "masses", "xs", "ps"}),
-    "spectral": ({"width_over_compton"}, {"points", "extent_over_compton", "mass"}),
-    "redshift": (set(), {"w", "u"}),
-    "muon": ({"lifetime_s", "u_over_c", "altitude_m"}, set()),
-    "rest_source": ({"v"}, set()),
-}
-_COMMON_KEYS = {"scenario", "units", "seed", "out"}
+__all__ = ["SCENARIOS", "ScenarioConfig", "ResultTable", "run_config", "main"]
 
 
 class ConfigError(Exception):
     """Configuration failed schema validation."""
 
 
+_REQUIRED = object()  # default of a key the config must give
+_ZERO3 = [0.0, 0.0, 0.0]
+
+# keys every scenario accepts besides "scenario"
+_COMMON = {"units": ({"natural", "si"}, "natural"), "seed": (int, 0, 0), "out": (str, None)}
+
+
+def _convert(kind, value):
+    """``value`` as ``kind``: ``float`` (finite), ``int``, ``str``, a set of allowed
+    strings, or the shape tuple of a finite float array (a ``None`` extent takes
+    any length).  Raises TypeError, ValueError or OverflowError."""
+    if kind in (float, int, str):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise TypeError(f"must be of type {kind.__name__}, got {value!r}")
+        value = kind(value)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        return value
+    if isinstance(kind, set):
+        if not isinstance(value, str) or value not in kind:
+            raise ValueError(f"must be one of {sorted(kind)}, got {value!r}")
+        return value
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "if":
+        raise TypeError(f"must be an array of numbers, got {value!r}")
+    if arr.ndim != len(kind) or any(n not in (None, k) for n, k in zip(kind, arr.shape)):
+        raise ValueError(f"must have shape {kind}, got {arr.shape}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("must be finite")
+    return arr
+
+
+def _typed(data: dict, spec: dict, scenario: str) -> dict:
+    """Typed value of every key in ``spec``: given, defaulted or ``None``."""
+    missing = sorted(key for key, entry in spec.items() if entry[1] is _REQUIRED and key not in data)
+    if missing:
+        raise ConfigError(f"missing required key(s) {missing} for {scenario!r}")
+    params = {}
+    for key, (kind, default, *lower) in spec.items():
+        if key not in data:
+            params[key] = None if default is None else _convert(kind, default)
+            continue
+        try:
+            value = _convert(kind, data[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"key {key!r} {exc}") from None
+        if lower and value < lower[0]:
+            raise ConfigError(f"key {key!r} must be at least {lower[0]}, got {value}")
+        params[key] = value
+    return params
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario request."""
+    """Validated scenario request; ``params`` holds typed values."""
 
     scenario: str
     params: dict
@@ -82,31 +103,22 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         scenario = data.get("scenario")
-        if scenario not in SCENARIOS:
+        if not isinstance(scenario, str) or scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown or missing scenario {scenario!r}; expected one of {', '.join(SCENARIOS)}"
             )
-        required, optional = _SCHEMA[scenario]
-        allowed = required | optional | _COMMON_KEYS
+        spec = {**SCENARIOS[scenario][1], **_COMMON}
         for key in data:
-            if key not in allowed:
+            if key != "scenario" and key not in spec:
                 raise ConfigError(f"unknown key {key!r} for scenario {scenario!r}")
-        missing = required - set(data)
-        if missing:
-            raise ConfigError(f"missing required key(s) {sorted(missing)} for {scenario!r}")
-        units_name = units_override or data.get("units", "natural")
-        if units_name not in ("natural", "si"):
-            raise ConfigError(f"units must be 'natural' or 'si', got {units_name!r}")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        params = {k: v for k, v in data.items() if k not in _COMMON_KEYS}
+        params = _typed({**data, "units": units_override} if units_override else data, spec, scenario)
+        units, seed, out = params.pop("units"), params.pop("seed"), params.pop("out")
         return cls(
             scenario=scenario,
             params=params,
-            units=SI if units_name == "si" else NATURAL,
+            units=SI if units == "si" else NATURAL,
             seed=seed,
-            out=data.get("out"),
+            out=out,
             raw=dict(data),
         )
 
@@ -117,7 +129,7 @@ class ScenarioConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_mapping(data, units_override)
 
@@ -150,9 +162,6 @@ class ResultTable:
             out.append(",".join(_fmt(v) for v in row))
         return out
 
-    def data_lines(self) -> list:
-        return self.lines()[len(self.metadata):]
-
     def write(self, path: str) -> None:
         # atomic: never leave a half-written table behind
         directory = os.path.dirname(os.path.abspath(path))
@@ -167,84 +176,28 @@ class ResultTable:
             raise
 
 
-def _base_metadata(cfg: ScenarioConfig) -> dict:
-    return {
-        "config": json.dumps(cfg.raw, sort_keys=True),
-        "version": __version__,
-        "seed": cfg.seed,
-        "c": _fmt(cfg.units.c),
-    }
-
-
-@dataclass(frozen=True)
-class RedshiftResult:
-    """z plus the ingredients it was computed from."""
-
-    z: float
-    beta: float
-    w_mag: float
-    u_mag: float
-    b: float
-    z_small_speed: float
-
-
-def redshift_z(w=None, u=None, units: UnitSystem = NATURAL) -> RedshiftResult:
-    """Doppler redshift z = sqrt((1 + beta)/(1 - beta)) - 1.
-
-    Given the observer velocity, beta = |w|/c; given the proper velocity,
-    beta = |u|/b, the identical number.  The small-speed reading z = beta
-    is reported alongside.
-    """
-    if (w is None) == (u is None):
-        raise PropertimeError("provide exactly one of w or u")
-    if w is not None:
-        w = kinematics._vec(w)
-        w_mag = float(np.linalg.norm(w))
-        if w_mag >= units.c:
-            raise PropertimeError(f"|w| = {w_mag} is not below c")
-        beta = w_mag / units.c
-        u_mag = kinematics.gamma(w, units) * w_mag
-        b = units.c * math.sqrt(1.0 + (u_mag / units.c) ** 2)
-    else:
-        u = kinematics._vec(u)
-        u_mag = float(np.linalg.norm(u))
-        b = kinematics.collaborative_speed(u, units)
-        beta = u_mag / b
-        w_mag = beta * units.c
-    z = math.sqrt((1.0 + beta) / (1.0 - beta)) - 1.0
-    return RedshiftResult(
-        z=z, beta=beta, w_mag=w_mag, u_mag=u_mag, b=b, z_small_speed=beta
-    )
-
-
-def scenario_redshift(cfg: ScenarioConfig) -> ResultTable:
-    params = cfg.params
-    if ("w" in params) == ("u" in params):
+def scenario_redshift(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    if (p["w"] is None) == (p["u"] is None):
         raise ConfigError("redshift needs exactly one of 'w' or 'u'")
-    if "w" in params:
-        res = redshift_z(w=np.asarray(params["w"], dtype=float), units=cfg.units)
-    else:
-        res = redshift_z(u=np.asarray(params["u"], dtype=float), units=cfg.units)
-    table = ResultTable(
-        columns=["z", "beta", "w_mag", "u_mag", "b", "z_small_speed"],
-        metadata=_base_metadata(cfg),
-    )
+    res = kinematics.redshift_z(w=p["w"], u=p["u"], units=units)
+    table = ResultTable(columns=["z", "beta", "w_mag", "u_mag", "b", "z_small_speed"])
     table.add_row(res.z, res.beta, res.w_mag, res.u_mag, res.b, res.z_small_speed)
     return table
 
 
-def scenario_muon(
-    lifetime_tau: float, u_mag: float, altitude: float, units: UnitSystem = SI
-) -> ResultTable:
+def scenario_muon(p: dict, units: UnitSystem, seed: int) -> ResultTable:
     """Ranges of an unstable particle on the two clock readings.
 
     Proper-clock range |u| tau_life against the naive observer-clock range
-    |w| tau_life, with reach verdicts for the given altitude.
+    |w| tau_life, with reach verdicts for the given altitude.  Always SI,
+    whatever ``units`` says; the ``c`` metadata reports the SI value.
     """
+    lifetime_tau, altitude = p["lifetime_s"], p["altitude_m"]
+    u_mag = p["u_over_c"] * constants.C_SI
     if min(lifetime_tau, u_mag, altitude) <= 0.0:
         raise PropertimeError("muon scenario inputs must be positive")
     u = np.array([u_mag, 0.0, 0.0])
-    w_mag = float(np.linalg.norm(kinematics.observer_from_proper(u, units)))
+    w_mag = float(np.linalg.norm(kinematics.observer_from_proper(u, SI)))
     proper_range = u_mag * lifetime_tau
     naive_range = w_mag * lifetime_tau
     table = ResultTable(
@@ -257,7 +210,8 @@ def scenario_muon(
             "altitude",
             "reaches_proper",
             "reaches_naive",
-        ]
+        ],
+        metadata={"c": _fmt(SI.c)},
     )
     table.add_row(
         lifetime_tau,
@@ -272,15 +226,14 @@ def scenario_muon(
     return table
 
 
-def scenario_rest_source(v, units: UnitSystem = NATURAL) -> ResultTable:
+def scenario_rest_source(p: dict, units: UnitSystem, seed: int) -> ResultTable:
     """A source at rest seen from a frame moving with v.
 
     Emits gamma(v), the primed collaborative light speed b' = gamma c and
     the primed source velocity u' = -gamma v, all via the library
     transforms.
     """
-    v = np.asarray(v, dtype=float)
-    boost = group.BoostParameters(v, units)
+    boost = group.BoostParameters(p["v"], units)
     g = boost.gamma_v
     b_prime = group.boost_lightspeed(units.c, np.zeros(3), boost)
     u_prime = group.boost_velocity(np.zeros(3), boost)
@@ -291,16 +244,11 @@ def scenario_rest_source(v, units: UnitSystem = NATURAL) -> ResultTable:
     return table
 
 
-def scenario_transform(cfg: ScenarioConfig) -> ResultTable:
-    p = cfg.params
-    units = cfg.units
-    boost = group.BoostParameters(np.asarray(p["v"], dtype=float), units)
-    x = np.asarray(p.get("x", [0.0, 0.0, 0.0]), dtype=float)
-    u = np.asarray(p.get("u", [0.0, 0.0, 0.0]), dtype=float)
-    a = np.asarray(p.get("a", [0.0, 0.0, 0.0]), dtype=float)
-    tau = float(p.get("tau", 0.0))
+def scenario_transform(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    boost = group.BoostParameters(p["v"], units)
+    x, u, a, tau = p["x"], p["u"], p["a"], p["tau"]
     b = kinematics.collaborative_speed(u, units)
-    b_bar = float(p.get("b_bar", b))
+    b_bar = b if p["b_bar"] is None else p["b_bar"]
     x_p = group.boost_event(x, tau, b_bar, boost)
     u_p = group.boost_velocity(u, boost)
     a_p = group.boost_acceleration(a, u, boost)
@@ -324,21 +272,14 @@ def scenario_transform(cfg: ScenarioConfig) -> ResultTable:
             "ap_x", "ap_y", "ap_z",
             "b_prime", "gamma_v", "roundtrip_residual",
         ],
-        metadata=_base_metadata(cfg),
     )
     table.add_row(*x_p, *u_p, *a_p, b_p, boost.gamma_v, roundtrip)
     return table
 
 
-def scenario_fields(cfg: ScenarioConfig) -> ResultTable:
-    p = cfg.params
-    units = cfg.units
-    traj = fields.SourceTrajectory.uniform(
-        float(p["charge"]), np.zeros(3), np.asarray(p["u"], dtype=float), units
-    )
-    radius = float(p.get("radius", 1.0))
-    n_points = int(p.get("points", 8))
-    tau = float(p.get("tau", 0.0))
+def scenario_fields(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    traj = fields.SourceTrajectory.uniform(p["charge"], np.zeros(3), p["u"], units)
+    radius, n_points, tau = p["radius"], p["points"], p["tau"]
     table = ResultTable(
         columns=[
             "angle",
@@ -348,7 +289,6 @@ def scenario_fields(cfg: ScenarioConfig) -> ResultTable:
             "E_dot_B", "B_minus_rhatxE",
             "tau_ret",
         ],
-        metadata=_base_metadata(cfg),
     )
     for j in range(n_points):
         angle = 2.0 * math.pi * j / n_points
@@ -365,57 +305,31 @@ def scenario_fields(cfg: ScenarioConfig) -> ResultTable:
     return table
 
 
-def scenario_orbit(cfg: ScenarioConfig) -> ResultTable:
-    p = cfg.params
-    units = cfg.units
-    potential = p.get("potential", "free")
-    if potential == "free":
-        conf = dynamics.FieldConfiguration.free()
-    elif potential == "coulomb":
-        conf = dynamics.FieldConfiguration.coulomb(float(p.get("strength", 1.0)))
+def scenario_orbit(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    if p["potential"] == "coulomb":
+        conf = dynamics.FieldConfiguration.coulomb(p["strength"])
     else:
-        raise ConfigError(f"unknown potential {potential!r}")
-    state = dynamics.PhaseState(
-        x=np.asarray(p["x0"], dtype=float),
-        p=np.asarray(p["p0"], dtype=float),
-        m=float(p["m"]),
-        units=units,
-    )
-    traj = dynamics.integrate_orbit(
-        state,
-        conf,
-        float(p["dtau"]),
-        int(p["steps"]),
-        record_every=int(p.get("record_every", 1)),
-    )
+        conf = dynamics.FieldConfiguration.free()
+    state = dynamics.PhaseState(x=p["x0"], p=p["p0"], m=p["m"], units=units)
+    traj = dynamics.integrate_orbit(state, conf, p["dtau"], p["steps"], record_every=p["record_every"])
     table = ResultTable(
         columns=["tau", "x", "y", "z", "px", "py", "pz", "K", "H", "b"],
-        metadata=_base_metadata(cfg),
+        metadata={"k_drift": _fmt(traj.k_drift)},
     )
-    table.metadata["k_drift"] = _fmt(traj.k_drift)
     for i in range(traj.tau.size):
         table.add_row(traj.tau[i], *traj.x[i], *traj.p[i], traj.K[i], traj.H[i], traj.b[i])
     return table
 
 
-def scenario_nbody(cfg: ScenarioConfig) -> ResultTable:
-    p = cfg.params
-    units = cfg.units
-    if "masses" in p:
-        for key in ("xs", "ps"):
-            if key not in p:
-                raise ConfigError("explicit nbody configs need masses, xs and ps")
-        sys = many.ParticleSystem(
-            masses=np.asarray(p["masses"], dtype=float),
-            xs=np.asarray(p["xs"], dtype=float),
-            ps=np.asarray(p["ps"], dtype=float),
-            units=units,
-        )
+def scenario_nbody(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    explicit = (p["masses"], p["xs"], p["ps"])
+    if any(a is not None for a in explicit):
+        if any(a is None or len(a) != p["n"] for a in explicit):
+            raise ConfigError("explicit nbody configs need masses, xs and ps for n particles")
+        sys = many.ParticleSystem(masses=p["masses"], xs=p["xs"], ps=p["ps"], units=units)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        sys = many.ParticleSystem.random(
-            int(p["n"]), rng, p_max=float(p.get("p_max", 5.0)), units=units
-        )
+        rng = np.random.default_rng(seed)
+        sys = many.ParticleSystem.random(p["n"], rng, p_max=p["p_max"], units=units)
     inv = many.system_invariants(sys)
     residuals = many.verify_algebra(sys)
     table = ResultTable(
@@ -427,7 +341,6 @@ def scenario_nbody(cfg: ScenarioConfig) -> ResultTable:
             "v_mag",
             "b_i",
         ],
-        metadata=_base_metadata(cfg),
     )
     u, v, b_i = many.per_particle_speeds(sys)
     for i in range(sys.n):
@@ -451,14 +364,13 @@ def scenario_nbody(cfg: ScenarioConfig) -> ResultTable:
     return table
 
 
-def scenario_spectral(cfg: ScenarioConfig) -> ResultTable:
-    p = cfg.params
-    params = spectral.KernelParameters.from_mass(float(p.get("mass", 1.0)))
+def scenario_spectral(p: dict, units: UnitSystem, seed: int) -> ResultTable:
+    params = spectral.KernelParameters.from_mass(p["mass"])
     mu = params.mu
-    width = float(p["width_over_compton"]) / mu
-    n = int(p.get("points", 256))
-    extent = float(p.get("extent_over_compton", max(20.0, 14.0 * width * mu))) / mu
-    psi = spectral.RadialGridFunction.gaussian(n, extent, width)
+    width = p["width_over_compton"] / mu
+    extent = p["extent_over_compton"]
+    extent = (max(20.0, 14.0 * width * mu) if extent is None else extent) / mu
+    psi = spectral.RadialGridFunction.gaussian(p["points"], extent, width)
     via_kernel = spectral.apply_sqrt_operator(psi, params)
     via_fft = spectral.momentum_oracle(psi, params)
     err = float(
@@ -467,10 +379,7 @@ def scenario_spectral(cfg: ScenarioConfig) -> ResultTable:
             / np.sum(np.abs(via_fft.values) ** 2)
         )
     )
-    table = ResultTable(
-        columns=["x", "psi", "s_kernel", "s_oracle"],
-        metadata=_base_metadata(cfg),
-    )
+    table = ResultTable(columns=["x", "psi", "s_kernel", "s_oracle"])
     table.metadata["rel_l2_error"] = _fmt(err)
     table.metadata["tail_decay_fit"] = _fmt(spectral.fit_kernel_decay(params))
     for i in range(psi.n):
@@ -478,32 +387,33 @@ def scenario_spectral(cfg: ScenarioConfig) -> ResultTable:
     return table
 
 
-def _dispatch(cfg: ScenarioConfig) -> ResultTable:
-    if cfg.scenario == "redshift":
-        return scenario_redshift(cfg)
-    if cfg.scenario == "muon":
-        table = scenario_muon(
-            float(cfg.params["lifetime_s"]),
-            float(cfg.params["u_over_c"]) * constants.C_SI,
-            float(cfg.params["altitude_m"]),
-            units=SI,
-        )
-    elif cfg.scenario == "rest_source":
-        table = scenario_rest_source(np.asarray(cfg.params["v"], dtype=float), cfg.units)
-    elif cfg.scenario == "transform":
-        return scenario_transform(cfg)
-    elif cfg.scenario == "fields":
-        return scenario_fields(cfg)
-    elif cfg.scenario == "orbit":
-        return scenario_orbit(cfg)
-    elif cfg.scenario == "nbody":
-        return scenario_nbody(cfg)
-    elif cfg.scenario == "spectral":
-        return scenario_spectral(cfg)
-    else:  # pragma: no cover - schema rejects earlier
-        raise ConfigError(f"unhandled scenario {cfg.scenario}")
-    table.metadata.update(_base_metadata(cfg))
-    return table
+# name -> (scenario function, {key: (kind, default[, inclusive lower bound])}), kinds as
+# in _convert.  Every scenario function takes (typed params, units, seed) and returns
+# its table; run_config adds the config echo, version, seed and c metadata.
+SCENARIOS = {
+    "transform": (scenario_transform, {
+        "v": ((3,), _REQUIRED), "x": ((3,), _ZERO3), "u": ((3,), _ZERO3), "a": ((3,), _ZERO3),
+        "tau": (float, 0.0), "b_bar": (float, None)}),
+    "fields": (scenario_fields, {
+        "charge": (float, _REQUIRED), "u": ((3,), _REQUIRED),
+        "radius": (float, 1.0), "points": (int, 8, 1), "tau": (float, 0.0)}),
+    "orbit": (scenario_orbit, {
+        "m": (float, _REQUIRED), "x0": ((3,), _REQUIRED), "p0": ((3,), _REQUIRED),
+        "dtau": (float, _REQUIRED), "steps": (int, _REQUIRED, 1),
+        "potential": ({"free", "coulomb"}, "free"), "strength": (float, 1.0),
+        "record_every": (int, 1, 1)}),
+    "nbody": (scenario_nbody, {
+        "n": (int, _REQUIRED, 1), "p_max": (float, 5.0, 0.0),
+        "masses": ((None,), None), "xs": ((None, 3), None), "ps": ((None, 3), None)}),
+    "spectral": (scenario_spectral, {
+        "width_over_compton": (float, _REQUIRED), "points": (int, 256, 2),
+        "extent_over_compton": (float, None), "mass": (float, 1.0)}),
+    "redshift": (scenario_redshift, {"w": ((3,), None), "u": ((3,), None)}),
+    "muon": (scenario_muon, {
+        "lifetime_s": (float, _REQUIRED), "u_over_c": (float, _REQUIRED),
+        "altitude_m": (float, _REQUIRED)}),
+    "rest_source": (scenario_rest_source, {"v": ((3,), _REQUIRED)}),
+}
 
 
 def run_config(
@@ -511,34 +421,37 @@ def run_config(
     out: Optional[str] = None,
     units_override: Optional[str] = None,
     stream=None,
+    scenario: Optional[str] = None,
 ) -> int:
-    """Load, validate, dispatch and write one scenario config."""
+    """Load, validate, run and write one scenario config; return the exit code.
+
+    ``scenario``, when given, is the subcommand the config must be for.
+    """
     stream = stream if stream is not None else _sys.stdout
     try:
         cfg = ScenarioConfig.from_path(path, units_override)
-    except ConfigError as exc:
+        if scenario is not None and cfg.scenario != scenario:
+            raise ConfigError(f"config {path} is for scenario {cfg.scenario!r}, not {scenario!r}")
+        table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
+        table.metadata = {"config": json.dumps(cfg.raw, sort_keys=True), "version": __version__,
+                          "seed": cfg.seed, "c": _fmt(cfg.units.c), **table.metadata}
+        target = out or cfg.out
+        if target:
+            table.write(target)
+        else:
+            print("\n".join(table.lines()), file=stream)
+    except (ConfigError, OSError) as exc:  # OSError: the output cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    try:
-        table = _dispatch(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-    except PropertimeError as exc:
+    except (PropertimeError, ArithmeticError) as exc:  # ArithmeticError: overflow, x/0
         print(f"numerical failure in {cfg.scenario}: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
-    target = out or cfg.out
-    if target:
-        table.write(target)
-    else:
-        print("\n".join(table.lines()), file=stream)
     return 0
 
 
-def _run_verify(out: Optional[str], stream=None) -> int:
+def _run_verify(out: Optional[str]) -> int:
     from .verify import run_all
 
-    stream = stream if stream is not None else _sys.stdout
     checks = run_all()
     table = ResultTable(
         columns=["name", "residual", "tolerance", "passed"],
@@ -549,11 +462,11 @@ def _run_verify(out: Optional[str], stream=None) -> int:
     for c in checks:
         table.rows.append([c.name, c.residual, c.tolerance, c.passed])
         status = "pass" if c.passed else "FAIL"
-        print(f"{c.name:<{width}}  {c.residual:12.3e}  < {c.tolerance:8.0e}  {status}", file=stream)
+        print(f"{c.name:<{width}}  {c.residual:12.3e}  < {c.tolerance:8.0e}  {status}")
         ok = ok and c.passed
     if out:
         table.write(out)
-    print(("all checks passed" if ok else "CHECKS FAILED"), file=stream)
+    print(("all checks passed" if ok else "CHECKS FAILED"))
     return 0 if ok else 3
 
 
@@ -563,45 +476,24 @@ def main(argv=None) -> int:
         description="Proper-time electrodynamics scenario runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCENARIOS + ("verify",):
+    for name in (*SCENARIOS, "verify"):
         cli_name = name.replace("_", "-")
         sp = sub.add_parser(cli_name, help=f"run the {cli_name} scenario")
         if name != "verify":
             sp.add_argument("--config", required=True, action="append",
                             help="path to a JSON scenario config (repeatable)")
-            sp.add_argument("--parallel", action="store_true",
-                            help="run multiple configs concurrently")
-        sp.add_argument("--out", default=None, help="output CSV path")
+        sp.add_argument("--out", default=None, help="output CSV path (one --config only)")
         sp.add_argument("--units", choices=["natural", "si"], default=None,
                         help="override the config's unit system")
     args = parser.parse_args(argv)
     command = args.command.replace("-", "_")
     if command == "verify":
         return _run_verify(args.out)
-
-    def one(path: str) -> int:
-        cfg_scenario = None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg_scenario = json.load(fh).get("scenario")
-        except (OSError, json.JSONDecodeError):
-            pass
-        if cfg_scenario is not None and cfg_scenario != command:
-            print(
-                f"config error: config {path} is for scenario {cfg_scenario!r}, "
-                f"not {command!r}",
-                file=_sys.stderr,
-            )
-            return 2
-        return run_config(path, out=args.out, units_override=args.units)
-
-    paths = args.config
-    if args.parallel and len(paths) > 1:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            codes = list(pool.map(one, paths))
-    else:
-        codes = [one(p) for p in paths]
-    return max(codes)
+    if args.out and len(args.config) > 1:
+        print("config error: --out takes one --config; give each config its own 'out' key",
+              file=_sys.stderr)
+        return 2
+    return max(run_config(path, args.out, args.units, scenario=command) for path in args.config)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ configurable speed of light (natural units ``c = 1`` by default).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,8 @@ __all__ = [
     "observer_from_proper",
     "collaborative_speed",
     "elapsed_observer_time",
+    "RedshiftResult",
+    "redshift_z",
 ]
 
 
@@ -153,3 +156,44 @@ def elapsed_observer_time(tau_grid, b_samples, units: UnitSystem = NATURAL) -> E
     t = float(simpson(b, x=tau)) / units.c
     span = tau[-1] - tau[0]
     return ElapsedTime(t=t, b_bar=units.c * t / span)
+
+
+@dataclass(frozen=True)
+class RedshiftResult:
+    """z plus the ingredients it was computed from."""
+
+    z: float
+    beta: float
+    w_mag: float
+    u_mag: float
+    b: float
+    z_small_speed: float
+
+
+def redshift_z(w=None, u=None, units: UnitSystem = NATURAL) -> RedshiftResult:
+    """Doppler redshift z = sqrt((1 + beta)/(1 - beta)) - 1.
+
+    Given the observer velocity, beta = |w|/c; given the proper velocity,
+    beta = |u|/b, the identical number.  The small-speed reading z = beta
+    is reported alongside.
+    """
+    if (w is None) == (u is None):
+        raise DomainError("provide exactly one of w or u")
+    if w is not None:
+        w = _vec(w)
+        w_mag = float(np.linalg.norm(w))
+        if w_mag >= units.c:
+            raise DomainError(f"|w| = {w_mag} is not below c")
+        beta = w_mag / units.c
+        u_mag = gamma(w, units) * w_mag
+        b = units.c * math.sqrt(1.0 + (u_mag / units.c) ** 2)
+    else:
+        u = _vec(u)
+        u_mag = float(np.linalg.norm(u))
+        b = collaborative_speed(u, units)
+        beta = u_mag / b
+        w_mag = beta * units.c
+    z = math.sqrt((1.0 + beta) / (1.0 - beta)) - 1.0
+    return RedshiftResult(
+        z=z, beta=beta, w_mag=w_mag, u_mag=u_mag, b=b, z_small_speed=beta
+    )

@@ -8,14 +8,13 @@ from propertime.cli import (
     ResultTable,
     ScenarioConfig,
     main,
-    redshift_z,
     run_config,
     scenario_muon,
     scenario_rest_source,
 )
 from propertime.constants import C_SI, MUON_LIFETIME_S
 from propertime.errors import PropertimeError
-from propertime.kinematics import proper_from_observer
+from propertime.kinematics import NATURAL, SI, proper_from_observer, redshift_z
 
 
 def write_config(tmp_path, name, payload):
@@ -59,9 +58,18 @@ class TestRedshift:
         assert res.w_mag < 1.0
 
 
+def muon(lifetime_s, u_over_c, altitude_m):
+    params = {"lifetime_s": lifetime_s, "u_over_c": u_over_c, "altitude_m": altitude_m}
+    return scenario_muon(params, SI, 0)
+
+
+def rest_source(v):
+    return scenario_rest_source({"v": np.asarray(v, dtype=float)}, NATURAL, 0)
+
+
 class TestMuonScenario:
     def test_reference_numbers(self):
-        table = scenario_muon(2.2e-6, 10.0 * C_SI, 15_000.0)
+        table = muon(2.2e-6, 10.0, 15_000.0)
         row = dict(zip(table.columns, table.rows[0]))
         assert row["proper_range"] == pytest.approx(10.0 * C_SI * 2.2e-6, rel=1e-12)
         assert row["proper_range"] == pytest.approx(6595.4, abs=0.1)
@@ -70,32 +78,45 @@ class TestMuonScenario:
         assert row["reaches_naive"] is False
 
     def test_reaches_lower_altitude(self):
-        table = scenario_muon(MUON_LIFETIME_S, 10.0 * C_SI, 5_000.0)
+        table = muon(MUON_LIFETIME_S, 10.0, 5_000.0)
         row = dict(zip(table.columns, table.rows[0]))
         assert row["reaches_proper"] is True
         assert row["reaches_naive"] is False
 
     def test_vanishing_speed(self):
         with pytest.raises(PropertimeError):
-            scenario_muon(2.2e-6, 0.0, 1000.0)
+            muon(2.2e-6, 0.0, 1000.0)
+
+    def test_c_metadata_is_si(self, tmp_path, capsys):
+        # muon computes in SI whatever the config's units; "# c" says so
+        cfg = write_config(
+            tmp_path, "mu.json",
+            {"scenario": "muon", "lifetime_s": 2.2e-6, "u_over_c": 10, "altitude_m": 15000},
+        )
+        assert run_config(cfg) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# c = 299792458" in lines
+        header = lines.index(next(l for l in lines if not l.startswith("#")))
+        row = dict(zip(lines[header].split(","), lines[header + 1].split(",")))
+        assert float(row["u_mag"]) == 10.0 * C_SI
 
 
 class TestRestSourceScenario:
     def test_rest_frame(self):
-        table = scenario_rest_source(np.zeros(3))
+        table = rest_source(np.zeros(3))
         row = dict(zip(table.columns, table.rows[0]))
         assert row["b_prime"] == 1.0
         assert row["u_prime_mag"] == 0.0
 
     def test_point_six(self):
-        table = scenario_rest_source(np.array([0.6, 0.0, 0.0]))
+        table = rest_source(np.array([0.6, 0.0, 0.0]))
         row = dict(zip(table.columns, table.rows[0]))
         assert row["gamma"] == pytest.approx(1.25, rel=1e-14)
         assert row["b_prime"] == pytest.approx(1.25, rel=1e-14)
         assert row["u_prime_mag"] == pytest.approx(0.75, rel=1e-14)
 
     def test_ultrarelativistic(self):
-        table = scenario_rest_source(np.array([0.99, 0.0, 0.0]))
+        table = rest_source(np.array([0.99, 0.0, 0.0]))
         row = dict(zip(table.columns, table.rows[0]))
         assert row["b_prime"] == pytest.approx(7.08881205, abs=1e-6)
 
@@ -127,6 +148,52 @@ class TestConfigValidation:
         )
         assert run_config(path) == 3
         assert "redshift" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "rest_source", "v": [1.0, 0.0, 0.0]},  # |v| = c
+            {"scenario": "orbit", "m": 1e300, "x0": [1.0, 0, 0], "p0": [0, 1.0, 0],
+             "dtau": 0.1, "steps": 5},  # float overflow inside the integrator
+        ],
+    )
+    def test_physics_failure_exits_3(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, "cfg.json", payload)
+        assert main([payload["scenario"].replace("_", "-"), "--config", path]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+ORBIT = {"scenario": "orbit", "m": 1.0, "x0": [1.0, 0, 0], "p0": [0, 1.0, 0], "dtau": 0.1, "steps": 5}
+FIELDS = {"scenario": "fields", "charge": 1.0, "u": [0.5, 0, 0]}
+MUON = {"scenario": "muon", "lifetime_s": 2.2e-6, "u_over_c": 10, "altitude_m": 15000}
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({**ORBIT, "m": "heavy"}, "'m'"),
+        ({**FIELDS, "points": "six"}, "'points'"),
+        ({"scenario": "spectral", "width_over_compton": 2.0, "points": "six"}, "'points'"),
+        ({"scenario": "rest_source", "v": "fast"}, "'v'"),
+        ({**MUON, "lifetime_s": "x"}, "'lifetime_s'"),
+        ({**ORBIT, "record_every": 0}, "'record_every'"),
+        ([ORBIT], "JSON object"),
+        ({**ORBIT, "x0": [1.0, 0.0]}, "'x0'"),
+        ({**ORBIT, "steps": -5}, "'steps'"),
+        ({**FIELDS, "points": 0}, "'points'"),
+        ({**FIELDS, "seed": True}, "'seed'"),
+        ({"scenario": "nbody", "n": 0}, "'n'"),
+        ({"scenario": "nbody", "n": 2, "seed": -1}, "'seed'"),
+        ({"scenario": "nbody", "n": 2, "p_max": -1.0}, "'p_max'"),
+        ({"scenario": "nbody", "n": 3, "masses": [1.0, 1.0], "xs": [[0, 0, 0]] * 2,
+          "ps": [[0, 0, 0]] * 2}, "masses"),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, payload, named):
+    path = write_config(tmp_path, "bad.json", payload)
+    scenario = ORBIT["scenario"] if isinstance(payload, list) else payload["scenario"]
+    assert main([scenario.replace("_", "-"), "--config", path]) == 2
+    assert named in capsys.readouterr().err
 
 
 class TestRunConfig:
@@ -199,6 +266,17 @@ class TestRunConfig:
         }
         assert float(meta["algebra_max_residual"]) < 1e-6
 
+    def test_nbody_explicit_particles(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "nb.json",
+            {"scenario": "nbody", "n": 2, "masses": [1.0, 2.0],
+             "xs": [[0, 0, 0], [1, 0, 0]], "ps": [[0.5, 0, 0], [0, 0, 0]]},
+        )
+        out = tmp_path / "nb.csv"
+        assert run_config(cfg, out=str(out)) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [float(r[1]) for r in rows[1:]] == [1.0, 2.0]
+
     def test_fields_scenario_orthogonality_column(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -264,6 +342,7 @@ class TestMainEntry:
         assert out.exists()
 
     def test_parallel_configs(self, tmp_path):
+        # several configs in one run, each writing to its own "out"
         cfgs = [
             write_config(
                 tmp_path, f"r{i}.json",
@@ -274,9 +353,25 @@ class TestMainEntry:
         args = ["redshift"]
         for c in cfgs:
             args += ["--config", c]
-        assert main(args + ["--parallel"]) == 0
+        assert main(args) == 0
         for i in (1, 2, 3):
             assert (tmp_path / f"r{i}.csv").exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "red.json", {"scenario": "redshift", "w": [0.6, 0.0, 0.0]})
+        out = tmp_path / "missing_dir" / "red.csv"
+        assert main(["redshift", "--config", cfg, "--out", str(out)]) == 2
+        assert "missing_dir" in capsys.readouterr().err
+
+    def test_one_out_for_several_configs_rejected(self, tmp_path, capsys):
+        cfgs = [
+            write_config(tmp_path, f"r{i}.json", {"scenario": "redshift", "w": [0.1 * i, 0.0, 0.0]})
+            for i in (1, 2)
+        ]
+        out = tmp_path / "r.csv"
+        assert main(["redshift", "--config", cfgs[0], "--config", cfgs[1], "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_result_table_rectangular_guard():
