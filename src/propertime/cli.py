@@ -432,7 +432,8 @@ def run_config(
         cfg = ScenarioConfig.from_path(path, units_override)
         if scenario is not None and cfg.scenario != scenario:
             raise ConfigError(f"config {path} is for scenario {cfg.scenario!r}, not {scenario!r}")
-        table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
+        with np.errstate(over="raise"):  # an overflow is one exit-3 line, not a warning flood
+            table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
         table.metadata = {"config": json.dumps(cfg.raw, sort_keys=True), "version": __version__,
                           "seed": cfg.seed, "c": _fmt(cfg.units.c), **table.metadata}
         target = out or cfg.out
@@ -479,12 +480,12 @@ def main(argv=None) -> int:
     for name in (*SCENARIOS, "verify"):
         cli_name = name.replace("_", "-")
         sp = sub.add_parser(cli_name, help=f"run the {cli_name} scenario")
+        sp.add_argument("--out", default=None, help="output CSV path (one --config only)")
         if name != "verify":
             sp.add_argument("--config", required=True, action="append",
                             help="path to a JSON scenario config (repeatable)")
-        sp.add_argument("--out", default=None, help="output CSV path (one --config only)")
-        sp.add_argument("--units", choices=["natural", "si"], default=None,
-                        help="override the config's unit system")
+            sp.add_argument("--units", choices=["natural", "si"], default=None,
+                            help="override the config's unit system")
     args = parser.parse_args(argv)
     command = args.command.replace("-", "_")
     if command == "verify":

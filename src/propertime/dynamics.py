@@ -82,17 +82,21 @@ class FieldConfiguration:
             return np.zeros(3)
         return _vec(self.vector(x))
 
+    def _central_difference(self, f, x) -> np.ndarray:
+        """d f/dx_j in the last axis, step fd_step * (1 + |x_j|)."""
+        cols = []
+        for j in range(3):
+            h = self.fd_step * (1.0 + abs(x[j]))
+            xp = x.copy(); xp[j] += h
+            xm = x.copy(); xm[j] -= h
+            cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
     def grad_V(self, x) -> np.ndarray:
         x = _vec(x)
         if self.grad_scalar is not None:
             return _vec(self.grad_scalar(x))
-        g = np.empty(3)
-        for i in range(3):
-            h = self.fd_step * (1.0 + abs(x[i]))
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            g[i] = (self.scalar(xp) - self.scalar(xm)) / (2.0 * h)
-        return g
+        return self._central_difference(self.scalar, x)
 
     def jac_A(self, x) -> np.ndarray:
         x = _vec(x)
@@ -100,13 +104,7 @@ class FieldConfiguration:
             return np.zeros((3, 3))
         if self.jac_vector is not None:
             return np.asarray(self.jac_vector(x), dtype=float)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            h = self.fd_step * (1.0 + abs(x[j]))
-            xp = x.copy(); xp[j] += h
-            xm = x.copy(); xm[j] -= h
-            jac[:, j] = (np.asarray(self.vector(xp)) - np.asarray(self.vector(xm))) / (2.0 * h)
-        return jac
+        return self._central_difference(self.vector, x)
 
     def B(self, x) -> np.ndarray:
         if self.vector is None:
@@ -160,40 +158,43 @@ def kinetic_momentum(state: PhaseState, fields: FieldConfiguration) -> np.ndarra
     return state.p - (state.e / state.units.c) * fields.A(state.x)
 
 
-def h_zero(state: PhaseState, fields: FieldConfiguration) -> float:
-    """H0 = sqrt(c^2 pi^2 + m^2 c^4)."""
+def _evaluate(state: PhaseState, fields: FieldConfiguration):
+    """(pi, H0, V) at the state: the one evaluation the functions below read."""
     c = state.units.c
     pi = kinetic_momentum(state, fields)
-    return math.sqrt(c**2 * (pi @ pi) + state.m**2 * c**4)
+    return pi, math.sqrt(c**2 * (pi @ pi) + state.m**2 * c**4), fields.V(state.x)
+
+
+def _generator_values(state: PhaseState, fields: FieldConfiguration):
+    """(K, H, b) from one evaluation; K in its expanded form (see canonical_K)."""
+    c, m = state.units.c, state.m
+    pi, H0, V = _evaluate(state, fields)
+    K = (pi @ pi) / (2.0 * m) + m * c**2 + V**2 / (2.0 * m * c**2) + V * H0 / (m * c**2)
+    return float(K), H0 + V, H0 / (m * c)
+
+
+def h_zero(state: PhaseState, fields: FieldConfiguration) -> float:
+    """H0 = sqrt(c^2 pi^2 + m^2 c^4)."""
+    return _evaluate(state, fields)[1]
 
 
 def hamiltonian_H(state: PhaseState, fields: FieldConfiguration) -> float:
     """H = H0 + V; satisfies H0 = m c b with b = b_kinetic(state, fields)."""
-    return h_zero(state, fields) + fields.V(state.x)
+    return _generator_values(state, fields)[1]
 
 
 def b_kinetic(state: PhaseState, fields: FieldConfiguration) -> float:
     """The collaborative speed carried by the kinetic momentum: H0/(m c)."""
-    return h_zero(state, fields) / (state.m * state.units.c)
+    return _generator_values(state, fields)[2]
 
 
 def canonical_K(state: PhaseState, fields: FieldConfiguration) -> float:
     """K = pi^2/2m + mc^2 + V^2/(2mc^2) + V H0/(mc^2) = H^2/(2mc^2) + mc^2/2."""
-    c = state.units.c
-    m = state.m
-    pi = kinetic_momentum(state, fields)
-    V = fields.V(state.x)
-    return float(
-        (pi @ pi) / (2.0 * m)
-        + m * c**2
-        + V**2 / (2.0 * m * c**2)
-        + V * h_zero(state, fields) / (m * c**2)
-    )
+    return _generator_values(state, fields)[0]
 
 
-def _renorm_factor(state: PhaseState, fields: FieldConfiguration) -> float:
-    H0 = h_zero(state, fields)
-    factor = 1.0 + fields.V(state.x) / H0
+def _renorm_factor(H0: float, V: float) -> float:
+    factor = 1.0 + V / H0
     if abs(factor) < _POLE_TOL:
         raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
     return factor
@@ -201,7 +202,7 @@ def _renorm_factor(state: PhaseState, fields: FieldConfiguration) -> float:
 
 def effective_mass_tilde(state: PhaseState, fields: FieldConfiguration) -> float:
     """m_tilde = m / (1 + V/H0); equals m when V = 0."""
-    return state.m / _renorm_factor(state, fields)
+    return state.m / _renorm_factor(*_evaluate(state, fields)[1:])
 
 
 def hamilton_rhs(state: PhaseState, fields: FieldConfiguration):
@@ -211,10 +212,10 @@ def hamilton_rhs(state: PhaseState, fields: FieldConfiguration):
     order: dx/dtau = dK/dp and dp/dtau = -dK/dx.
     """
     c = state.units.c
-    factor = _renorm_factor(state, fields)
-    pi = kinetic_momentum(state, fields)
+    pi, H0, V = _evaluate(state, fields)
+    factor = _renorm_factor(H0, V)
     u = factor * pi / state.m
-    b = b_kinetic(state, fields)
+    b = H0 / (state.m * c)
     dp = -fields.grad_V(state.x) * (b / c) * factor
     if fields.vector is not None:
         jac = fields.jac_A(state.x)
@@ -316,21 +317,25 @@ def integrate_orbit(
     Conserved quantities are recorded rather than enforced, so K drift is
     a direct diagnostic of the step size.
     """
-    if dtau <= 0.0:
-        raise DomainError("dtau must be positive")
+    if not dtau > 0.0:
+        raise DomainError(f"dtau must be positive, got {dtau}")
+    if n_steps < 0:
+        raise DomainError(f"n_steps must be non-negative, got {n_steps}")
+    if record_every < 1:
+        raise DomainError(f"record_every must be at least 1, got {record_every}")
     x = state0.x.copy()
     p = state0.p.copy()
     m, e, units = state0.m, state0.e, state0.units
     taus, xs, ps, Ks, Hs, bs = [], [], [], [], [], []
 
     def record(tau):
-        st = PhaseState(x=x, p=p, m=m, e=e, tau=tau, units=units)
+        K, H, b = _generator_values(PhaseState(x=x, p=p, m=m, e=e, tau=tau, units=units), fields)
         taus.append(tau)
         xs.append(x.copy())
         ps.append(p.copy())
-        Ks.append(canonical_K(st, fields))
-        Hs.append(hamiltonian_H(st, fields))
-        bs.append(b_kinetic(st, fields))
+        Ks.append(K)
+        Hs.append(H)
+        bs.append(b)
 
     def deriv(xc, pc):
         st = PhaseState(x=xc, p=pc, m=m, e=e, units=units)
@@ -369,7 +374,7 @@ def metric_deformation(state: PhaseState, fields: FieldConfiguration) -> float:
     c^2 dt^2 = c^2 dtau^2 + dx^2 / (1 + V/H0)^2: unity in free space,
     diverging toward the pole V -> -H0.
     """
-    return 1.0 / _renorm_factor(state, fields) ** 2
+    return 1.0 / _renorm_factor(*_evaluate(state, fields)[1:]) ** 2
 
 
 def _solve_mass_ratio(u2: float, beta: float, m: float, c: float) -> float:

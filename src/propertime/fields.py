@@ -253,18 +253,12 @@ def magnetic_field_terms(geom: FieldGeometry, u, a, e: float):
 
 def electric_field(x, tau: float, traj: SourceTrajectory) -> np.ndarray:
     """E(x, tau) of the trajectory's charge, evaluated at the retarded time."""
-    tau_ret = retarded_time(x, tau, traj)
-    geom = field_geometry(x, tau_ret, traj)
-    t1, t2, t3 = electric_field_terms(geom, traj.u(tau_ret), traj.a(tau_ret), traj.e)
-    return t1 + t2 + t3
+    return fields_at(x, tau, traj)[0]
 
 
 def magnetic_field(x, tau: float, traj: SourceTrajectory) -> np.ndarray:
     """B(x, tau) of the trajectory's charge, evaluated at the retarded time."""
-    tau_ret = retarded_time(x, tau, traj)
-    geom = field_geometry(x, tau_ret, traj)
-    t1, t2, t3 = magnetic_field_terms(geom, traj.u(tau_ret), traj.a(tau_ret), traj.e)
-    return t1 + t2 + t3
+    return fields_at(x, tau, traj)[1]
 
 
 def fields_at(x, tau: float, traj: SourceTrajectory):

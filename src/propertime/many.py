@@ -134,11 +134,24 @@ class GlobalInvariants:
     X: np.ndarray
 
 
-def _effective_mass(H: float, P: np.ndarray, c: float) -> float:
+def _mass_shell(H: float, P: np.ndarray, c: float):
+    """(M, K, U, b) of a system with energy H and momentum P."""
     m2c4 = H**2 - c**2 * (P @ P)
     if m2c4 <= 0.0:
         raise SpacelikeSystemError(f"H^2 - c^2 P^2 = {m2c4} is not positive")
-    return float(np.sqrt(m2c4)) / c**2
+    M = float(np.sqrt(m2c4)) / c**2
+    U = P / M
+    return M, float((P @ P) / (2.0 * M) + M * c**2), U, float(np.sqrt(U @ U + c**2))
+
+
+def _center(hs, xs, ps, H, P, M, c):
+    """(X0, J, S, X) summed over the particle axis -2, so ``xs`` may carry
+    a leading step axis; X = X0 + c^2 (S x P)/(H(Mc^2 + H))."""
+    X0 = np.sum(hs[:, None] * xs, axis=-2) / H
+    J = np.sum(np.cross(xs, ps), axis=-2)
+    S = J - np.cross(X0, P)
+    X = X0 + c**2 * np.cross(S, P) / (H * (M * c**2 + H))
+    return X0, J, S, X
 
 
 def system_invariants(sys: ParticleSystem) -> GlobalInvariants:
@@ -147,39 +160,26 @@ def system_invariants(sys: ParticleSystem) -> GlobalInvariants:
     hs = sys.particle_energies()
     H = sys.total_energy()
     P = np.sum(sys.ps, axis=0)
-    J = np.sum(np.cross(sys.xs, sys.ps), axis=0)
     L = np.sum(hs[:, None] * sys.xs, axis=0) / c**2
-    M = _effective_mass(H, P, c)
-    K = (P @ P) / (2.0 * M) + M * c**2
-    U = P / M
-    b = float(np.sqrt(U @ U + c**2))
-    com = center_of_mass(sys)
-    return GlobalInvariants(
-        H=H, P=P, J=J, L=L, M=M, K=float(K), U=U, b=b, S=com.S, X=com.X
-    )
+    M, K, U, b = _mass_shell(H, P, c)
+    _, J, S, X = _center(hs, sys.xs, sys.ps, H, P, M, c)
+    return GlobalInvariants(H=H, P=P, J=J, L=L, M=M, K=K, U=U, b=b, S=S, X=X)
 
 
 def clock_ratio(i: int, sys: ParticleSystem) -> float:
     """dtau_i/dtau = H m_i / (M H_i)."""
     sys.require_free("clock_ratio")
-    hs = sys.particle_energies()
-    H = float(np.sum(hs))
-    M = _effective_mass(H, np.sum(sys.ps, axis=0), sys.units.c)
-    return float(H * sys.masses[i] / (M * hs[i]))
+    inv = system_invariants(sys)
+    return float(inv.H * sys.masses[i] / (inv.M * sys.particle_energies()[i]))
 
 
 def clock_ratio_speeds(i: int, sys: ParticleSystem) -> float:
     """The same ratio from the collaborative speeds: b / b_i."""
     sys.require_free("clock_ratio_speeds")
     c = sys.units.c
-    hs = sys.particle_energies()
-    H = float(np.sum(hs))
-    M = _effective_mass(H, np.sum(sys.ps, axis=0), c)
-    U = np.sum(sys.ps, axis=0) / M
-    b = np.sqrt(U @ U + c**2)
     u_i = sys.ps[i] / sys.masses[i]
     b_i = np.sqrt(c**2 + u_i @ u_i)
-    return float(b / b_i)
+    return float(system_invariants(sys).b / b_i)
 
 
 def per_particle_speeds(sys: ParticleSystem):
@@ -190,11 +190,7 @@ def per_particle_speeds(sys: ParticleSystem):
     """
     sys.require_free("per_particle_speeds")
     c = sys.units.c
-    hs = sys.particle_energies()
-    H = float(np.sum(hs))
-    M = _effective_mass(H, np.sum(sys.ps, axis=0), c)
-    U = np.sum(sys.ps, axis=0) / M
-    b = float(np.sqrt(U @ U + c**2))
+    b = system_invariants(sys).b
     u = sys.ps / sys.masses[:, None]
     b_i = np.sqrt(c**2 + np.sum(u**2, axis=1))
     v = (b / b_i)[:, None] * u
@@ -234,10 +230,9 @@ def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem, h: float = 1e
 
 def _observable_table(sys: ParticleSystem):
     c = sys.units.c
-    masses = sys.masses
 
     def H(xs, ps):
-        return float(np.sum(np.sqrt(c**2 * np.sum(ps**2, axis=1) + masses**2 * c**4)))
+        return float(np.sum(sys.particle_energies(ps)))
 
     def Mc2(xs, ps):
         P = np.sum(ps, axis=0)
@@ -255,8 +250,7 @@ def _observable_table(sys: ParticleSystem):
         obs[f"P{a}"] = lambda xs, ps, a=a: float(np.sum(ps[:, a]))
         obs[f"J{a}"] = lambda xs, ps, a=a: float(np.sum(np.cross(xs, ps)[:, a]))
         obs[f"L{a}"] = lambda xs, ps, a=a: float(
-            np.sum(np.sqrt(c**2 * np.sum(ps**2, axis=1) + masses**2 * c**4) * xs[:, a])
-            / c**2
+            np.sum(sys.particle_energies(ps) * xs[:, a]) / c**2
         )
     return obs
 
@@ -334,14 +328,10 @@ def center_of_mass(sys: ParticleSystem) -> CenterOfMass:
     correction vanishes and X = X0.
     """
     c = sys.units.c
-    hs = sys.particle_energies()
     H = sys.total_energy()
     P = np.sum(sys.ps, axis=0)
-    M = _effective_mass(H, P, c)
-    X0 = np.sum(hs[:, None] * sys.xs, axis=0) / H
-    J = np.sum(np.cross(sys.xs, sys.ps), axis=0)
-    S = J - np.cross(X0, P)
-    X = X0 + c**2 * np.cross(S, P) / (H * (M * c**2 + H))
+    M = _mass_shell(H, P, c)[0]
+    X0, _, S, X = _center(sys.particle_energies(), sys.xs, sys.ps, H, P, M, c)
     return CenterOfMass(X0=X0, S=S, X=X)
 
 
@@ -375,8 +365,7 @@ def cluster_split(sys: ParticleSystem, partition: Sequence[Sequence[int]]):
         seen.extend(idx)
         H_k = float(np.sum(hs[idx]))
         P_k = np.sum(sys.ps[idx], axis=0)
-        M_k = _effective_mass(H_k, P_k, c)
-        K_k = float((P_k @ P_k) / (2.0 * M_k) + M_k * c**2)
+        M_k, K_k, _, _ = _mass_shell(H_k, P_k, c)
         clusters.append(
             ClusterSummary(
                 indices=tuple(idx),
@@ -413,13 +402,17 @@ def free_flight(sys: ParticleSystem, dtau: float, n_steps: int) -> FreeTrajector
     is exact; observer time advances as t = (H/Mc^2) tau.
     """
     sys.require_free("free_flight")
+    if not dtau > 0.0:
+        raise DomainError(f"dtau must be positive, got {dtau}")
+    if n_steps < 0:
+        raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     c = sys.units.c
     inv = system_invariants(sys)
     hs = sys.particle_energies()
     v = inv.b * c * sys.ps / hs[:, None]
     taus = dtau * np.arange(n_steps + 1)
     xs = sys.xs[None, :, :] + taus[:, None, None] * v[None, :, :]
-    X = np.array([center_of_mass(sys.with_phase(x, sys.ps)).X for x in xs])
+    X = _center(hs, xs, sys.ps, inv.H, inv.P, inv.M, c)[3]
     t = (inv.H / (inv.M * c**2)) * taus
     return FreeTrajectory(
         taus=taus, xs=xs, X=X, t=t, H=inv.H, K=inv.K, M=inv.M, P=inv.P

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +164,26 @@ class TestConfigValidation:
         path = write_config(tmp_path, "cfg.json", payload)
         assert main([payload["scenario"].replace("_", "-"), "--config", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflow_exits_3_with_one_line(self, tmp_path):
+        # a fresh interpreter, so stderr is what a user sees: no numpy warnings
+        path = write_config(tmp_path, "big.json", {"scenario": "fields", "charge": 1.0,
+                                                   "u": [1e300, 0.0, 0.0]})
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "propertime.cli", "fields", "--config", path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "numerical failure" in proc.stderr
+
+
+def test_verify_has_no_units_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--units", "si"])
+    assert exc.value.code == 2
 
 
 ORBIT = {"scenario": "orbit", "m": 1.0, "x0": [1.0, 0, 0], "p0": [0, 1.0, 0], "dtau": 0.1, "steps": 5}

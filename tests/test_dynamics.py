@@ -23,6 +23,7 @@ from propertime.dynamics import (
     time_reversal_check,
 )
 from propertime.errors import DomainError, RenormalizationPoleError
+from propertime.many import ParticleSystem, free_flight
 
 RNG = np.random.default_rng(99)
 
@@ -240,6 +241,48 @@ class TestCriticalRadius:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             coulomb_critical_radius(-1.0, 1.0)
+
+
+def vector_potential_fields(b_z=0.7, k=0.3):
+    """Softened Coulomb V and a uniform-B vector potential with no analytic
+    derivatives, so grad_V, jac_A and B all run the central differences."""
+    return FieldConfiguration(
+        scalar=lambda x: -k / math.sqrt(x @ x + 0.1),
+        vector=lambda x: 0.5 * b_z * np.array([-x[1], x[0], 0.0]),
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda st: integrate_orbit(st, FREE, float("nan"), 10),
+        lambda st: integrate_orbit(st, FREE, 0.0, 10),
+        lambda st: integrate_orbit(st, FREE, -0.1, 10),
+        lambda st: integrate_orbit(st, FREE, 0.1, -5),
+        lambda st: integrate_orbit(st, FREE, 0.1, 10, record_every=0),
+        lambda st: integrate_orbit(st, FREE, 0.1, 10, record_every=-1),
+        lambda st: free_flight(ParticleSystem.random(2, RNG), float("nan"), 10),
+        lambda st: free_flight(ParticleSystem.random(2, RNG), -0.1, 10),
+        lambda st: free_flight(ParticleSystem.random(2, RNG), 0.1, -1),
+    ],
+    ids=["orbit-nan-dtau", "orbit-zero-dtau", "orbit-negative-dtau", "orbit-negative-steps",
+         "orbit-record-every-0", "orbit-record-every-negative", "flight-nan-dtau",
+         "flight-negative-dtau", "flight-negative-steps"],
+)
+def test_trajectory_arguments_checked(call):
+    with pytest.raises(DomainError):
+        call(PhaseState([1.0, 0.0, 0.0], [0.0, 0.5, 0.0], m=1.0))
+
+
+@pytest.mark.parametrize("fields, e", [(COULOMB, 0.0), (vector_potential_fields(), 0.8)])
+def test_recorded_K_H_b_equal_their_functions(fields, e):
+    st = PhaseState([1.0, 0.2, 0.1], [0.1, 0.6, 0.05], m=1.3, e=e)
+    traj = integrate_orbit(st, fields, 0.01, 120, record_every=7)
+    for i in range(traj.tau.size):
+        rec = PhaseState(traj.x[i], traj.p[i], m=st.m, e=e, tau=traj.tau[i])
+        assert traj.K[i] == canonical_K(rec, fields)
+        assert traj.H[i] == hamiltonian_H(rec, fields)
+        assert traj.b[i] == b_kinetic(rec, fields)
 
 
 class TestOrbits:

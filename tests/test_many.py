@@ -235,6 +235,14 @@ class TestClusters:
             cluster_split(sys, [[0, 1], [1, 2]])
 
 
+def test_free_flight_center_of_mass_matches_per_step():
+    for n in (1, 2, 5, 17, 64):
+        sys = ParticleSystem.random(n, RNG, p_max=2.0)
+        traj = free_flight(sys, 0.03, 40)
+        per_step = np.array([center_of_mass(sys.with_phase(x, sys.ps)).X for x in traj.xs])
+        assert np.array_equal(traj.X, per_step)
+
+
 class TestGeneratingIdentity:
     def test_free_two_particle(self):
         sys = ParticleSystem.random(2, RNG)
