@@ -11,12 +11,14 @@ from .kinematics import (
     SI,
     ElapsedTime,
     KinematicState,
+    RedshiftResult,
     UnitSystem,
     collaborative_speed,
     elapsed_observer_time,
     gamma,
     observer_from_proper,
     proper_from_observer,
+    redshift_z,
 )
 from .group import (
     BoostParameters,

@@ -343,11 +343,12 @@ def scenario_nbody(p: dict, units: UnitSystem, seed: int) -> ResultTable:
         ],
     )
     u, v, b_i = many.per_particle_speeds(sys)
+    ratios = many.clock_ratio(np.arange(sys.n), sys)
     for i in range(sys.n):
         table.add_row(
             i,
             sys.masses[i],
-            many.clock_ratio(i, sys),
+            ratios[i],
             float(np.linalg.norm(u[i])),
             float(np.linalg.norm(v[i])),
             float(b_i[i]),

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-14
+_FD_STEP = 1e-6
 
 
 @dataclass
@@ -63,8 +64,8 @@ class FieldConfiguration:
     """Potential energy V(x) and vector potential A(x) with derivatives.
 
     Analytic gradient, magnetic field and A-Jacobian callables may be
-    supplied; otherwise second-order central differences with ``fd_step``
-    are used.  ``jac_vector(x)[i, j]`` is dA_i/dx_j.
+    supplied; otherwise second-order central differences with step
+    ``1e-6 * (1 + |x_j|)`` are used.  ``jac_vector(x)[i, j]`` is dA_i/dx_j.
     """
 
     scalar: Callable[[np.ndarray], float]
@@ -72,7 +73,6 @@ class FieldConfiguration:
     grad_scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     curl_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-6
 
     def V(self, x) -> float:
         return float(self.scalar(_vec(x)))
@@ -83,10 +83,10 @@ class FieldConfiguration:
         return _vec(self.vector(x))
 
     def _central_difference(self, f, x) -> np.ndarray:
-        """d f/dx_j in the last axis, step fd_step * (1 + |x_j|)."""
+        """d f/dx_j in the last axis, step _FD_STEP * (1 + |x_j|)."""
         cols = []
         for j in range(3):
-            h = self.fd_step * (1.0 + abs(x[j]))
+            h = _FD_STEP * (1.0 + abs(x[j]))
             xp = x.copy(); xp[j] += h
             xm = x.copy(); xm[j] -= h
             cols.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
@@ -121,16 +121,14 @@ class FieldConfiguration:
         return cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
 
     @classmethod
-    def coulomb(cls, strength: float, soften: float = 0.0) -> "FieldConfiguration":
+    def coulomb(cls, strength: float) -> "FieldConfiguration":
         """Central potential V = -strength/r with analytic gradient."""
 
         def V(x):
-            r = math.sqrt(x @ x + soften**2)
-            return -strength / r
+            return -strength / math.sqrt(x @ x)
 
         def grad(x):
-            r = math.sqrt(x @ x + soften**2)
-            return strength * x / r**3
+            return strength * x / math.sqrt(x @ x) ** 3
 
         return cls(scalar=V, grad_scalar=grad)
 
@@ -205,22 +203,30 @@ def effective_mass_tilde(state: PhaseState, fields: FieldConfiguration) -> float
     return state.m / _renorm_factor(*_evaluate(state, fields)[1:])
 
 
+def _equations_of_motion(state: PhaseState, fields: FieldConfiguration):
+    """(u, dp/dtau, b, V, grad V, dA/dtau, B): the right-hand side and the
+    field values it was built from; dA/dtau and B are None when A is."""
+    c = state.units.c
+    pi, H0, V = _evaluate(state, fields)
+    factor = _renorm_factor(H0, V)
+    u = factor * pi / state.m
+    b = H0 / (state.m * c)
+    grad_V = fields.grad_V(state.x)
+    dp = -grad_V * (b / c) * factor
+    if fields.vector is None:
+        return u, dp, b, V, grad_V, None, None
+    dA_dtau, B = fields.jac_A(state.x) @ u, fields.B(state.x)
+    dp = dp + (state.e / c) * dA_dtau + (state.e / c) * np.cross(u, B)
+    return u, dp, b, V, grad_V, dA_dtau, B
+
+
 def hamilton_rhs(state: PhaseState, fields: FieldConfiguration):
     """(dx/dtau, dp/dtau) from the canonical proper-time generator.
 
     Matches the central-difference gradient of canonical_K at second
     order: dx/dtau = dK/dp and dp/dtau = -dK/dx.
     """
-    c = state.units.c
-    pi, H0, V = _evaluate(state, fields)
-    factor = _renorm_factor(H0, V)
-    u = factor * pi / state.m
-    b = H0 / (state.m * c)
-    dp = -fields.grad_V(state.x) * (b / c) * factor
-    if fields.vector is not None:
-        jac = fields.jac_A(state.x)
-        dp = dp + (state.e / c) * (jac @ u) + (state.e / c) * np.cross(u, fields.B(state.x))
-    return u, dp
+    return _equations_of_motion(state, fields)[:2]
 
 
 def approximate_rhs(state: PhaseState, fields: FieldConfiguration):
@@ -255,14 +261,12 @@ class ForceDecomposition:
 def propertime_force(state: PhaseState, fields: FieldConfiguration) -> ForceDecomposition:
     """Force form of the equations of motion for time-independent A."""
     c = state.units.c
-    b = b_kinetic(state, fields)
-    u, dp = hamilton_rhs(state, fields)
-    dA_dtau = fields.jac_A(state.x) @ u if fields.vector is not None else np.zeros(3)
+    u, dp, b, V, grad_V, dA_dtau, B = _equations_of_motion(state, fields)
+    if B is None:
+        dA_dtau = B = np.zeros(3)
     total = (c / b) * (dp - (state.e / c) * dA_dtau)
-    grad_V = fields.grad_V(state.x)
-    V = fields.V(state.x)
     electric = -grad_V
-    magnetic = (state.e / b) * np.cross(u, fields.B(state.x))
+    magnetic = (state.e / b) * np.cross(u, B)
     radial = -grad_V * V / (state.m * c * b)
     return ForceDecomposition(
         total=total, electric=electric, magnetic=magnetic, radial_correction=radial

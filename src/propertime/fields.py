@@ -62,16 +62,13 @@ __all__ = [
 class SourceTrajectory:
     """Worldline of a charge e, parameterized by its proper time.
 
-    ``position``, ``velocity`` and ``acceleration`` are callables of tau;
-    ``jerk`` (du_dot/dtau) is optional and only needed for the effective
-    photon-mass evaluation along the trajectory.
+    ``position``, ``velocity`` and ``acceleration`` are callables of tau.
     """
 
     e: float
     position: Callable[[float], np.ndarray]
     velocity: Callable[[float], np.ndarray]
     acceleration: Callable[[float], np.ndarray]
-    jerk: Optional[Callable[[float], np.ndarray]] = None
     tau_min: float = -math.inf
     tau_max: float = math.inf
     units: UnitSystem = NATURAL
@@ -99,7 +96,6 @@ class SourceTrajectory:
             position=lambda tau: x0,
             velocity=lambda tau: zero,
             acceleration=lambda tau: zero,
-            jerk=lambda tau: zero,
             units=units,
         )
 
@@ -114,7 +110,6 @@ class SourceTrajectory:
             position=lambda tau: x0 + u * tau,
             velocity=lambda tau: u,
             acceleration=lambda tau: zero,
-            jerk=lambda tau: zero,
             units=units,
         )
 
@@ -137,13 +132,11 @@ class SourceTrajectory:
         spline = CubicSpline(tau_grid, positions, axis=0)
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)
-        d3 = spline.derivative(3)
         return cls(
             e=e,
             position=lambda tau: spline(tau),
             velocity=lambda tau: d1(tau),
             acceleration=lambda tau: d2(tau),
-            jerk=lambda tau: d3(tau),
             tau_min=float(tau_grid[0]),
             tau_max=float(tau_grid[-1]),
             units=units,
@@ -170,7 +163,7 @@ def _propagation_path(tau_ret: float, tau: float, traj: SourceTrajectory) -> flo
     return val
 
 
-def retarded_time(x, tau: float, traj: SourceTrajectory, rtol: float = 1e-12) -> float:
+def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     """Largest tau' < tau from which a signal reaches (x, tau).
 
     Solves |x - xbar(tau')| = int_{tau'}^{tau} b ds by bracketed root
@@ -205,7 +198,7 @@ def retarded_time(x, tau: float, traj: SourceTrajectory, rtol: float = 1e-12) ->
         lo = tau - step
     else:
         raise RetardationError("failed to bracket the retarded time")
-    tau_ret = brentq(gap, lo, tau, xtol=rtol * scale, rtol=4 * np.finfo(float).eps)
+    tau_ret = brentq(gap, lo, tau, xtol=1e-12 * scale, rtol=4 * np.finfo(float).eps)
     if np.linalg.norm(x - traj.x(tau_ret)) < 1e-14 * max(1.0, float(np.linalg.norm(x))):
         raise DegenerateGeometryError("field point lies on the source worldline")
     return float(tau_ret)

@@ -103,14 +103,7 @@ def boost_event_inverse(x_prime, tau: float, b_bar_prime: float, boost: BoostPar
     time of the same event; b_bar' comes from the primed elapsed time (for
     constant velocity, b_bar' = b').
     """
-    x_prime = _vec(x_prime)
-    if b_bar_prime < boost.units.c:
-        raise DomainError(f"mean collaborative speed {b_bar_prime} below c")
-    if boost.is_identity:
-        return x_prime.copy()
-    return boost.gamma_v * (
-        dstar(x_prime, boost) + (boost.v / boost.units.c) * b_bar_prime * tau
-    )
+    return boost_event(x_prime, tau, b_bar_prime, BoostParameters(-boost.v, boost.units))
 
 
 def boost_velocity(u, boost: BoostParameters) -> np.ndarray:
@@ -124,11 +117,7 @@ def boost_velocity(u, boost: BoostParameters) -> np.ndarray:
 
 def boost_velocity_inverse(u_prime, boost: BoostParameters) -> np.ndarray:
     """u = gamma [u'* + (v/c) b']; undoes :func:`boost_velocity`."""
-    u_prime = _vec(u_prime)
-    if boost.is_identity:
-        return u_prime.copy()
-    b_prime = collaborative_speed(u_prime, boost.units)
-    return boost.gamma_v * (dstar(u_prime, boost) + (boost.v / boost.units.c) * b_prime)
+    return boost_velocity(u_prime, BoostParameters(-boost.v, boost.units))
 
 
 def boost_acceleration(a, u, boost: BoostParameters) -> np.ndarray:
@@ -143,14 +132,7 @@ def boost_acceleration(a, u, boost: BoostParameters) -> np.ndarray:
 
 def boost_acceleration_inverse(a_prime, u_prime, boost: BoostParameters) -> np.ndarray:
     """a = gamma {a'* + v (u'.a')/(b' c)}; undoes :func:`boost_acceleration`."""
-    a_prime = _vec(a_prime)
-    u_prime = _vec(u_prime)
-    if boost.is_identity:
-        return a_prime.copy()
-    b_prime = collaborative_speed(u_prime, boost.units)
-    return boost.gamma_v * (
-        dstar(a_prime, boost) + boost.v * ((u_prime @ a_prime) / (b_prime * boost.units.c))
-    )
+    return boost_acceleration(a_prime, u_prime, BoostParameters(-boost.v, boost.units))
 
 
 def boost_lightspeed(b: float, u, boost: BoostParameters) -> float:
@@ -163,10 +145,7 @@ def boost_lightspeed(b: float, u, boost: BoostParameters) -> float:
 
 def boost_lightspeed_inverse(b_prime: float, u_prime, boost: BoostParameters) -> float:
     """b = gamma [b' + u'.v/c]; undoes :func:`boost_lightspeed`."""
-    u_prime = _vec(u_prime)
-    if boost.is_identity:
-        return float(b_prime)
-    return float(boost.gamma_v * (b_prime + (u_prime @ boost.v) / boost.units.c))
+    return boost_lightspeed(b_prime, u_prime, BoostParameters(-boost.v, boost.units))
 
 
 @dataclass(frozen=True)

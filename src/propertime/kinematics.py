@@ -51,15 +51,10 @@ class UnitSystem:
     """
 
     c: float = 1.0
-    charge_convention: str = "gaussian"
 
     def __post_init__(self):
         if not self.c > 0.0:
             raise DomainError(f"speed of light must be positive, got {self.c}")
-        if self.charge_convention != "gaussian":
-            raise DomainError(
-                f"unsupported charge convention {self.charge_convention!r}"
-            )
 
 
 NATURAL = UnitSystem(c=1.0)

@@ -49,6 +49,8 @@ __all__ = [
     "evolve_observable",
 ]
 
+_FD_H = 1e-5  # relative central-difference step of the bracket gradients
+
 
 @dataclass(frozen=True)
 class ParticleSystem:
@@ -108,12 +110,10 @@ class ParticleSystem:
         n: int,
         rng: np.random.Generator,
         p_max: float = 5.0,
-        span: float = 2.0,
-        mass_range=(0.5, 2.0),
         units: UnitSystem = NATURAL,
     ) -> "ParticleSystem":
-        masses = rng.uniform(*mass_range, size=n)
-        xs = rng.uniform(-span, span, size=(n, 3))
+        masses = rng.uniform(0.5, 2.0, size=n)
+        xs = rng.uniform(-2.0, 2.0, size=(n, 3))
         ps = rng.uniform(-p_max, p_max, size=(n, 3)) * masses[:, None] * units.c
         return cls(masses=masses, xs=xs, ps=ps, units=units)
 
@@ -166,11 +166,13 @@ def system_invariants(sys: ParticleSystem) -> GlobalInvariants:
     return GlobalInvariants(H=H, P=P, J=J, L=L, M=M, K=K, U=U, b=b, S=S, X=X)
 
 
-def clock_ratio(i: int, sys: ParticleSystem) -> float:
-    """dtau_i/dtau = H m_i / (M H_i)."""
+def clock_ratio(i, sys: ParticleSystem):
+    """dtau_i/dtau = H m_i / (M H_i); an index array gives every ratio it
+    names from one snapshot."""
     sys.require_free("clock_ratio")
     inv = system_invariants(sys)
-    return float(inv.H * sys.masses[i] / (inv.M * sys.particle_energies()[i]))
+    out = inv.H * sys.masses[i] / (inv.M * sys.particle_energies()[i])
+    return float(out) if out.ndim == 0 else out
 
 
 def clock_ratio_speeds(i: int, sys: ParticleSystem) -> float:
@@ -200,31 +202,31 @@ def per_particle_speeds(sys: ParticleSystem):
     return u, v, b_i
 
 
-def phase_gradient(f: Callable, sys: ParticleSystem, h: float = 1e-5):
-    """(df/dx, df/dp) by central differences, step scaled per coordinate."""
+def phase_gradient(f: Callable, sys: ParticleSystem):
+    """(df/dx, df/dp) by central differences, step 1e-5 (1 + |q|) per coordinate q."""
     xs, ps = sys.xs, sys.ps
     gx = np.zeros_like(xs)
     gp = np.zeros_like(ps)
     for i in range(sys.n):
         for a in range(3):
-            hx = h * (1.0 + abs(xs[i, a]))
+            hx = _FD_H * (1.0 + abs(xs[i, a]))
             xp = xs.copy(); xp[i, a] += hx
             xm = xs.copy(); xm[i, a] -= hx
             gx[i, a] = (f(xp, ps) - f(xm, ps)) / (2.0 * hx)
-            hp = h * (1.0 + abs(ps[i, a]))
+            hp = _FD_H * (1.0 + abs(ps[i, a]))
             pp = ps.copy(); pp[i, a] += hp
             pm = ps.copy(); pm[i, a] -= hp
             gp[i, a] = (f(xs, pp) - f(xs, pm)) / (2.0 * hp)
     return gx, gp
 
 
-def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem, h: float = 1e-5) -> float:
+def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
     """{f, g} = sum_i (df/dx_i . dg/dp_i - df/dp_i . dg/dx_i), numerically.
 
     ``f`` and ``g`` are scalar observables of the phase arrays (xs, ps).
     """
-    fx, fp = phase_gradient(f, sys, h)
-    gx, gp = phase_gradient(g, sys, h)
+    fx, fp = phase_gradient(f, sys)
+    gx, gp = phase_gradient(g, sys)
     return float(np.sum(fx * gp) - np.sum(fp * gx))
 
 
@@ -255,7 +257,7 @@ def _observable_table(sys: ParticleSystem):
     return obs
 
 
-def verify_algebra(sys: ParticleSystem, h: float = 1e-5) -> dict:
+def verify_algebra(sys: ParticleSystem) -> dict:
     """Numerical residuals of the bracket table at this phase point.
 
     Returns one max-|residual| entry per relation family plus ``max``;
@@ -264,7 +266,7 @@ def verify_algebra(sys: ParticleSystem, h: float = 1e-5) -> dict:
     sys.require_free("verify_algebra")
     c = sys.units.c
     obs = _observable_table(sys)
-    grads = {name: phase_gradient(fn, sys, h) for name, fn in obs.items()}
+    grads = {name: phase_gradient(fn, sys) for name, fn in obs.items()}
 
     def bracket(fa: str, fb: str) -> float:
         fx, fp = grads[fa]
@@ -434,7 +436,7 @@ def generating_identity_residual(traj: FreeTrajectory, units: UnitSystem = NATUR
     return float(abs(lhs - rhs))
 
 
-def evolve_observable(W: Callable, sys: ParticleSystem, h: float = 1e-5) -> float:
+def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
     """dW/dtau = sum_i (dtau_i/dtau) {W, K_i}; equals {W, K}.
 
     K_i = H_i^2/(2 m_i c^2) + m_i c^2/2 is the particle generator on its
@@ -443,6 +445,7 @@ def evolve_observable(W: Callable, sys: ParticleSystem, h: float = 1e-5) -> floa
     """
     sys.require_free("evolve_observable")
     c = sys.units.c
+    ratios = clock_ratio(np.arange(sys.n), sys)
     total = 0.0
     for i in range(sys.n):
         m_i = sys.masses[i]
@@ -451,5 +454,5 @@ def evolve_observable(W: Callable, sys: ParticleSystem, h: float = 1e-5) -> floa
             h_i = np.sqrt(c**2 * (ps[i] @ ps[i]) + m_i**2 * c**4)
             return float(h_i**2 / (2.0 * m_i * c**2) + m_i * c**2 / 2.0)
 
-        total += clock_ratio(i, sys) * poisson_bracket(W, K_i, sys, h)
+        total += ratios[i] * poisson_bracket(W, K_i, sys)
     return float(total)

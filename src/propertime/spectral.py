@@ -50,6 +50,7 @@ __all__ = [
     "line_kernel_weight",
     "apply_sqrt_operator",
     "momentum_oracle",
+    "fit_kernel_decay",
     "dirac_to_K_eigenvalue",
 ]
 
@@ -236,24 +237,17 @@ def momentum_oracle(psi: RadialGridFunction, params: KernelParameters) -> Radial
     return RadialGridFunction(grid=psi.grid, values=out)
 
 
-def fit_kernel_decay(
-    params: KernelParameters,
-    d_lo: float | None = None,
-    d_hi: float | None = None,
-    samples: int = 60,
-) -> float:
+def fit_kernel_decay(params: KernelParameters) -> float:
     """Exponential decay constant of the 3-D kernel tail.
 
     Least-squares fit of ln|w| against the asymptotic Bessel-envelope
-    model a + nu ln d - kappa d + beta/d over [d_lo, d_hi] (defaults
-    [3/mu, 8/mu]); the 1/d term carries the first subleading correction of
-    the envelope, without which the window is not deep enough in the tail.
-    Returns kappa, which should track mu.
+    model a + nu ln d - kappa d + beta/d at 60 points over [3/mu, 8/mu];
+    the 1/d term carries the first subleading correction of the envelope,
+    without which the window is not deep enough in the tail.  Returns
+    kappa, which should track mu.
     """
     mu = params.mu
-    d_lo = 3.0 / mu if d_lo is None else d_lo
-    d_hi = 8.0 / mu if d_hi is None else d_hi
-    d = np.linspace(d_lo, d_hi, samples)
+    d = np.linspace(3.0 / mu, 8.0 / mu, 60)
     w = np.abs(sqrt_kernel_weight(d, params))
     design = np.column_stack([np.ones_like(d), np.log(d), d, 1.0 / d])
     coef, *_ = np.linalg.lstsq(design, np.log(w), rcond=None)

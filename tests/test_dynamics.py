@@ -220,6 +220,45 @@ class TestForceForm:
         expected = (1.0 / 50.0**2) * (1.0 + V) * np.array([-1.0, 0, 0])
         np.testing.assert_allclose(force.total, expected, rtol=1e-3)
 
+    @pytest.mark.parametrize("fields, e", [(COULOMB, 0.0), (uniform_b_fields(), 0.8)])
+    def test_fields_equal_their_defining_formulas(self, fields, e):
+        # each piece rebuilt from the public functions, bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            st = PhaseState(rng.normal(size=3) + np.array([2.5, 0, 0]), rng.normal(size=3),
+                            m=1.2, e=e)
+            force = propertime_force(st, fields)
+            c, b = st.units.c, b_kinetic(st, fields)
+            u, dp = hamilton_rhs(st, fields)
+            grad_V = fields.grad_V(st.x)
+            dA = fields.jac_A(st.x) @ u if fields.vector is not None else np.zeros(3)
+            np.testing.assert_array_equal(force.total, (c / b) * (dp - (e / c) * dA))
+            np.testing.assert_array_equal(force.electric, -grad_V)
+            np.testing.assert_array_equal(force.magnetic, (e / b) * np.cross(u, fields.B(st.x)))
+            np.testing.assert_array_equal(
+                force.radial_correction, -grad_V * fields.V(st.x) / (st.m * c * b)
+            )
+
+    def test_one_field_evaluation_per_call(self):
+        calls = {"V": 0, "grad_V": 0, "jac_A": 0, "B": 0}
+
+        def counted(name, f):
+            def wrapper(x):
+                calls[name] += 1
+                return f(x)
+            return wrapper
+
+        base = uniform_b_fields()
+        fields = FieldConfiguration(
+            scalar=counted("V", base.scalar),
+            vector=base.vector,
+            grad_scalar=counted("grad_V", base.grad_scalar),
+            curl_vector=counted("B", base.curl_vector),
+            jac_vector=counted("jac_A", base.jac_vector),
+        )
+        propertime_force(PhaseState([2.0, 0.5, 0.1], [0.1, 0.6, 0.0], m=1.0, e=0.8), fields)
+        assert calls == {"V": 1, "grad_V": 1, "jac_A": 1, "B": 1}
+
     def test_force_balances_at_critical_radius(self):
         st = PhaseState(np.array([1.0, 0, 0]), np.zeros(3), m=1.0)
         _, dp = approximate_rhs(st, COULOMB)

@@ -184,6 +184,25 @@ class TestRoundtrips:
             assert boost_lightspeed_inverse(b_p, u_p, boost) == pytest.approx(b, rel=1e-10)
 
 
+@pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
+def test_inverse_maps_at_zero_velocity_return_their_input(v):
+    boost = BoostParameters(np.array(v))
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        x, u, a = rng.normal(size=(3, 3))
+        for vec in (x, u, a):
+            vec[rng.random(3) < 0.5] = -0.0
+        b = collaborative_speed(u)
+        for got, want in (
+            (boost_event_inverse(x, rng.normal(), b, boost), x),
+            (boost_velocity_inverse(u, boost), u),
+            (boost_acceleration_inverse(a, u, boost), a),
+            (boost_lightspeed_inverse(b, u, boost), b),
+        ):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestSourceDensities:
     def test_convective_invariant(self):
         u = np.array([0.75, 0.0, 0.0])

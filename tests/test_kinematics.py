@@ -159,5 +159,5 @@ class TestKinematicState:
 def test_unit_system_validation():
     with pytest.raises(DomainError):
         UnitSystem(c=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         UnitSystem(c=1.0, charge_convention="si")

@@ -98,6 +98,14 @@ class TestClockRatios:
                     clock_ratio_speeds(i, sys), rel=1e-12
                 )
 
+    def test_index_array_equals_per_index_ratios(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 10, 30):
+            sys = ParticleSystem.random(n, rng)
+            per_index = [clock_ratio(i, sys) for i in range(n)]
+            assert all(type(r) is float for r in per_index)
+            assert np.array_equal(clock_ratio(np.arange(n), sys), per_index)
+
 
 class TestPerParticleSpeeds:
     def test_zero_momentum_system_reduces_to_observer_velocities(self):
