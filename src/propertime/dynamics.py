@@ -59,6 +59,11 @@ _POLE_TOL = 1e-14
 _FD_STEP = 1e-6
 
 
+def _curl(jac: np.ndarray) -> np.ndarray:
+    """curl A from the Jacobian jac[i, j] = dA_i/dx_j."""
+    return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
+
+
 @dataclass
 class FieldConfiguration:
     """Potential energy V(x) and vector potential A(x) with derivatives.
@@ -111,10 +116,7 @@ class FieldConfiguration:
             return np.zeros(3)
         if self.curl_vector is not None:
             return _vec(self.curl_vector(x))
-        jac = self.jac_A(x)
-        return np.array(
-            [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
-        )
+        return _curl(self.jac_A(x))
 
     @classmethod
     def free(cls) -> "FieldConfiguration":
@@ -215,7 +217,9 @@ def _equations_of_motion(state: PhaseState, fields: FieldConfiguration):
     dp = -grad_V * (b / c) * factor
     if fields.vector is None:
         return u, dp, b, V, grad_V, None, None
-    dA_dtau, B = fields.jac_A(state.x) @ u, fields.B(state.x)
+    jac = fields.jac_A(state.x)
+    B = fields.B(state.x) if fields.curl_vector is not None else _curl(jac)
+    dA_dtau = jac @ u
     dp = dp + (state.e / c) * dA_dtau + (state.e / c) * np.cross(u, B)
     return u, dp, b, V, grad_V, dA_dtau, B
 

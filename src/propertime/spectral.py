@@ -20,11 +20,15 @@ symbol has the line kernel :math:`S_1(z) = -\hbar c \mu K_1(\mu|z|)/
         + \mathrm{PV}\!\int S_1(z)\,[\psi(x - z) - \psi(x)]\,dz .
 
 Discretization scheme (reproducible): on a periodic grid of spacing
-:math:`\Delta`, every off-diagonal cell contributes its exact kernel
-moments :math:`\int S_1`, :math:`\int (z - z_j) S_1`, :math:`\int
-(z-z_j)^2 S_1` (numerical quadrature per cell), applied to a local
-quadratic reconstruction of :math:`\psi(x - z)` by central differences;
-the self cell, where the PV subtraction leaves the finite integrand
+:math:`\Delta`, every off-diagonal cell contributes its kernel moments
+:math:`\int S_1`, :math:`\int (z - z_j) S_1`, :math:`\int (z-z_j)^2 S_1`,
+applied to a local quadratic reconstruction of :math:`\psi(x - z)` by
+central differences.  The moments come from one 20-point Gauss-Legendre
+rule for every cell beyond the nearest pair and from adaptive quadrature
+for the nearest pair, where the :math:`1/z^2` pole of :math:`S_1` sits
+half a cell away; cells at :math:`\pm z_j` share their even moments and
+have opposite odd ones, so each offset is integrated once.  The
+self cell, where the PV subtraction leaves the finite integrand
 :math:`S_1(z) z^2 \psi''/2`, contributes its exact second moment to the
 standard three-point Laplacian stencil.  The subtraction pins the zero-
 frequency response at exactly :math:`mc^2`, which is how the delta
@@ -33,7 +37,9 @@ counter-term enters.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,17 @@ __all__ = [
     "fit_kernel_decay",
     "dirac_to_K_eigenvalue",
 ]
+
+
+@functools.cache
+def _gauss_legendre_20():
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
+
+    Computed on first use, not at import: its eigenvalue solve is a
+    process's first LAPACK call, which maps about 0.7 MB that processes
+    building no table do not need.
+    """
+    return np.polynomial.legendre.leggauss(20)
 
 
 @dataclass(frozen=True)
@@ -161,6 +178,10 @@ class SqrtOperator1D:
     """
 
     def __init__(self, params: KernelParameters, n: int, spacing: float):
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            raise DomainError(f"grid size must be an integer >= 2, got {n!r}")
+        if not (isinstance(spacing, numbers.Real) and math.isfinite(spacing) and spacing > 0.0):
+            raise DomainError(f"grid spacing must be finite and positive, got {spacing!r}")
         if params.mu * spacing > 1.0:
             raise ResolutionError(
                 f"mu * spacing = {params.mu * spacing} > 1: kernel unresolved"
@@ -169,28 +190,44 @@ class SqrtOperator1D:
         self.n = n
         self.spacing = spacing
         self.weights = self._build_table()
+        self.weights.flags.writeable = False
 
     def _build_table(self) -> np.ndarray:
         n, dz = self.n, self.spacing
         p = self.params
-        table = np.zeros(n)
+        half = n // 2
+        # moments (w0, w1, w2) of the cells at offsets +m dz, m = 1..n//2;
+        # the mirror cell at -m dz has the same w0, w2 and the opposite w1
+        moments = np.empty((half, 3))
 
-        def s1(z: float) -> float:
-            return float(line_kernel_weight(z, p))
+        def s1(z: float) -> float:  # line_kernel_weight for one z > 0
+            return -p.hbar * p.c * p.mu * k1(p.mu * z) / (math.pi * z)
 
-        w_sum = 0.0
-        for j in range(1, n):
-            # minimum-image offset: kernel is applied over one period
-            z_j = ((j + n // 2) % n - n // 2) * dz
-            lo, hi = z_j - 0.5 * dz, z_j + 0.5 * dz
-            w0 = quad(s1, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-            w1 = quad(lambda z: (z - z_j) * s1(z), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-            w2 = quad(lambda z: (z - z_j) ** 2 * s1(z), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-            w_sum += w0
-            # psi(x - z) ~ psi_{i-j} - psi'(x_{i-j})(z - z_j) + psi''(x_{i-j})(z-z_j)^2/2
-            table[j] += w0 - w2 / dz**2
-            table[(j - 1) % n] += -w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
-            table[(j + 1) % n] += w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+        # nearest cell: adaptive, since the 1/z^2 pole sits half a cell away
+        lo, hi = 0.5 * dz, 1.5 * dz
+        moments[0] = [
+            quad(lambda z, k=k: (z - dz) ** k * s1(z), lo, hi,
+                 epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+            for k in range(3)
+        ]
+        if half > 1:
+            # farther cells: one fixed Gauss-Legendre rule, t = z - z_m
+            nodes, weights = _gauss_legendre_20()
+            t = 0.5 * dz * nodes
+            z = dz * np.arange(2, half + 1)[:, None] + t
+            powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
+            moments[1:] = line_kernel_weight(z, p) @ powers.T
+        # minimum-image offset of cell j: kernel is applied over one period
+        offset = (np.arange(1, n) + half) % n - half
+        w0, w1, w2 = moments[np.abs(offset) - 1].T
+        w1 = np.sign(offset) * w1
+        # psi(x - z) ~ psi_{i-j} - psi'(x_{i-j})(z - z_j) + psi''(x_{i-j})(z-z_j)^2/2
+        below, centre, above = np.zeros((3, n))  # into cells j - 1, j, j + 1
+        centre[1:] = w0 - w2 / dz**2
+        below[1:] = -w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+        above[1:] = w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+        table = centre + np.roll(below, -1) + np.roll(above, 1)
+
         # self cell: PV kills the odd moment; S1(z) z^2 is finite at 0
         def s1_z2(z: float) -> float:
             az = abs(z)
@@ -202,7 +239,7 @@ class SqrtOperator1D:
             s1_z2, -0.5 * dz, 0.5 * dz,
             epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.0],
         )[0]
-        table[0] += p.rest_energy - w_sum - m2_self / dz**2
+        table[0] += p.rest_energy - w0.sum() - m2_self / dz**2
         table[1] += m2_self / (2.0 * dz**2)
         table[n - 1] += m2_self / (2.0 * dz**2)
         # symmetrize across the periodic seam (exactly self-adjoint table)
@@ -210,6 +247,9 @@ class SqrtOperator1D:
         return 0.5 * (table + table[idx])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape != (self.n,):
+            raise DomainError(f"values of shape {values.shape} on a grid of {self.n} points")
         # circulant convolution S[psi]_i = sum_d W[d] psi_{i-d}
         out = np.fft.ifft(np.fft.fft(values) * np.fft.fft(self.weights))
         if np.isrealobj(values):

@@ -4,8 +4,11 @@ Nothing in here may call into the library's own transform/field/operator
 code paths; these are the second routes of the dual-route checks.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import k1
 
 
 def einstein_velocity_composition(w, v, c=1.0):
@@ -86,3 +89,52 @@ def retarded_time_constant_velocity(x, tau, x0, u, c=1.0):
     if not real:
         raise ValueError("no physical retarded root")
     return max(real)
+
+
+def sqrt_table_adaptive(params, n, spacing):
+    """Convolution table of the 1-D square-root operator, one cell at a time.
+
+    The reference build of ``spectral.SqrtOperator1D``: three adaptive
+    ``quad`` calls (moments 0, 1, 2 of S1(z) = -hbar c mu K1(mu|z|)/(pi|z|))
+    over every off-diagonal cell, one for the second moment of the self
+    cell, the same quadratic-reconstruction stencil, and the seam
+    symmetrisation.  S1 is written out here from scipy's K1.
+    """
+    n, dz = int(n), float(spacing)
+    table = np.zeros(n)
+
+    def s1(z: float) -> float:
+        az = abs(z)
+        return float(-params.hbar * params.c * params.mu * k1(params.mu * az) / (math.pi * az))
+
+    w_sum = 0.0
+    for j in range(1, n):
+        # minimum-image offset: kernel is applied over one period
+        z_j = ((j + n // 2) % n - n // 2) * dz
+        lo, hi = z_j - 0.5 * dz, z_j + 0.5 * dz
+        w0 = quad(s1, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        w1 = quad(lambda z: (z - z_j) * s1(z), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        w2 = quad(lambda z: (z - z_j) ** 2 * s1(z), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+        w_sum += w0
+        # psi(x - z) ~ psi_{i-j} - psi'(x_{i-j})(z - z_j) + psi''(x_{i-j})(z-z_j)^2/2
+        table[j] += w0 - w2 / dz**2
+        table[(j - 1) % n] += -w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+        table[(j + 1) % n] += w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+    # self cell: PV kills the odd moment; S1(z) z^2 is finite at 0
+    def s1_z2(z: float) -> float:
+        az = abs(z)
+        if params.mu * az < 1e-12:
+            return -params.hbar * params.c / math.pi
+        return -params.hbar * params.c * params.mu * k1(params.mu * az) * az / math.pi
+
+    m2_self = quad(
+        s1_z2, -0.5 * dz, 0.5 * dz,
+        epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.0],
+    )[0]
+    rest_energy = params.m * params.c**2
+    table[0] += rest_energy - w_sum - m2_self / dz**2
+    table[1] += m2_self / (2.0 * dz**2)
+    table[n - 1] += m2_self / (2.0 * dz**2)
+    # symmetrize across the periodic seam (exactly self-adjoint table)
+    idx = (-np.arange(n)) % n
+    return 0.5 * (table + table[idx])

@@ -324,6 +324,44 @@ def test_recorded_K_H_b_equal_their_functions(fields, e):
         assert traj.b[i] == b_kinetic(rec, fields)
 
 
+def test_one_vector_potential_jacobian_per_rhs():
+    # A once for pi, six central differences for jac_A; B reuses that Jacobian
+    base = vector_potential_fields()
+    calls = []
+    fields = FieldConfiguration(
+        scalar=base.scalar, vector=lambda x: calls.append(1) or base.vector(x)
+    )
+    hamilton_rhs(PhaseState([1.0, 0.2, 0.1], [0.1, 0.6, 0.05], m=1.3, e=0.8), fields)
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("e", [0.0, 0.8])
+def test_finite_difference_rhs_equals_defining_formula(e):
+    # the one-Jacobian path rebuilt from the public field methods, bit for bit
+    fields = vector_potential_fields()
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        st = PhaseState(rng.normal(size=3), rng.normal(size=3), m=1.3, e=e)
+        c, x = st.units.c, st.x
+        pi = st.p - (e / c) * fields.A(x)
+        H0 = math.sqrt(c**2 * (pi @ pi) + st.m**2 * c**4)
+        V = fields.V(x)
+        factor = 1.0 + V / H0
+        u = factor * pi / st.m
+        b = H0 / (st.m * c)
+        grad_V = fields.grad_V(x)
+        dA, B = fields.jac_A(x) @ u, fields.B(x)
+        dp = -grad_V * (b / c) * factor + (e / c) * dA + (e / c) * np.cross(u, B)
+        got_u, got_dp = hamilton_rhs(st, fields)
+        np.testing.assert_array_equal(got_u, u)
+        np.testing.assert_array_equal(got_dp, dp)
+        force = propertime_force(st, fields)
+        np.testing.assert_array_equal(force.total, (c / b) * (dp - (e / c) * dA))
+        np.testing.assert_array_equal(force.electric, -grad_V)
+        np.testing.assert_array_equal(force.magnetic, (e / b) * np.cross(u, B))
+        np.testing.assert_array_equal(force.radial_correction, -grad_V * V / (st.m * c * b))
+
+
 class TestOrbits:
     def test_free_particle_straight_line(self):
         st = PhaseState(np.array([1.0, -2.0, 0.0]), np.array([0.3, 0.4, 0.0]), m=2.0)

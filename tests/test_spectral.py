@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import k0, k1
 
-from oracles import bessel_k_via_quadrature
+from oracles import bessel_k_via_quadrature, sqrt_table_adaptive
 from propertime.errors import DomainError, ResolutionError
 from propertime.spectral import (
     KernelParameters,
@@ -130,6 +131,46 @@ class TestOperatorApplication:
         op = SqrtOperator1D(PARAMS, 64, 0.5)
         mat = op.as_matrix()
         np.testing.assert_allclose(mat, mat.T, rtol=1e-12, atol=1e-14)
+
+
+class TestOperatorTable:
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 3.7])
+    def test_matches_adaptive_table(self, mass):
+        # fixed Gauss-Legendre beyond the nearest cells against per-cell quad
+        params = KernelParameters.from_mass(mass)
+        for n in (2, 3, 8, 64, 128, 256, 333, 1024, 2048):
+            for mu_spacing in (1e-3, 0.3, 0.99):
+                spacing = mu_spacing / params.mu
+                new = SqrtOperator1D(params, n, spacing).weights
+                old = sqrt_table_adaptive(params, n, spacing)
+                assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+                np.testing.assert_array_equal(new[1:], new[1:][::-1])
+
+    def test_table_is_read_only(self):
+        op = SqrtOperator1D(PARAMS, 16, 0.5)
+        with pytest.raises(ValueError):
+            op.weights[0] = 99.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SqrtOperator1D(PARAMS, 1, 0.2),
+            lambda: SqrtOperator1D(PARAMS, 0, 0.2),
+            lambda: SqrtOperator1D(PARAMS, -3, 0.2),
+            lambda: SqrtOperator1D(PARAMS, 2.5, 0.2),
+            lambda: SqrtOperator1D(PARAMS, 8, 0.0),
+            lambda: SqrtOperator1D(PARAMS, 8, -0.2),
+            lambda: SqrtOperator1D(PARAMS, 8, float("nan")),
+            lambda: SqrtOperator1D(PARAMS, 8, 0.2).apply(np.ones(5)),
+        ],
+        ids=["n-1", "n-0", "n-negative", "n-float", "spacing-0", "spacing-negative",
+             "spacing-nan", "apply-wrong-length"],
+    )
+    def test_arguments_checked(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestMomentumOracle:
