@@ -153,6 +153,9 @@ class ResultTable:
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
             raise ValueError("row width does not match columns")
+        for column, value in zip(self.columns, values):
+            if not math.isfinite(value):  # e.g. a Python float overflow that numpy never saw
+                raise ArithmeticError(f"non-finite {column} = {value}")
         self.rows.append(list(values))
 
     def lines(self) -> list:
@@ -433,7 +436,9 @@ def run_config(
         cfg = ScenarioConfig.from_path(path, units_override)
         if scenario is not None and cfg.scenario != scenario:
             raise ConfigError(f"config {path} is for scenario {cfg.scenario!r}, not {scenario!r}")
-        with np.errstate(over="raise"):  # an overflow is one exit-3 line, not a warning flood
+        # an overflow, x/0 or nan is one exit-3 line, not a warning flood;
+        # underflow stays quiet, since Gaussian and K1 tails underflow legitimately
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
         table.metadata = {"config": json.dumps(cfg.raw, sort_keys=True), "version": __version__,
                           "seed": cfg.seed, "c": _fmt(cfg.units.c), **table.metadata}
@@ -445,7 +450,7 @@ def run_config(
     except (ConfigError, OSError) as exc:  # OSError: the output cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    except (PropertimeError, ArithmeticError) as exc:  # ArithmeticError: overflow, x/0
+    except (PropertimeError, ArithmeticError) as exc:  # ArithmeticError: overflow, x/0, inf/nan
         print(f"numerical failure in {cfg.scenario}: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
     return 0

@@ -220,14 +220,19 @@ def phase_gradient(f: Callable, sys: ParticleSystem):
     return gx, gp
 
 
+def _bracket(grad_f, grad_g) -> float:
+    """{f, g} from the phase gradients (df/dx, df/dp) and (dg/dx, dg/dp)."""
+    fx, fp = grad_f
+    gx, gp = grad_g
+    return float(np.sum(fx * gp) - np.sum(fp * gx))
+
+
 def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
     """{f, g} = sum_i (df/dx_i . dg/dp_i - df/dp_i . dg/dx_i), numerically.
 
     ``f`` and ``g`` are scalar observables of the phase arrays (xs, ps).
     """
-    fx, fp = phase_gradient(f, sys)
-    gx, gp = phase_gradient(g, sys)
-    return float(np.sum(fx * gp) - np.sum(fp * gx))
+    return _bracket(phase_gradient(f, sys), phase_gradient(g, sys))
 
 
 def _observable_table(sys: ParticleSystem):
@@ -269,9 +274,7 @@ def verify_algebra(sys: ParticleSystem) -> dict:
     grads = {name: phase_gradient(fn, sys) for name, fn in obs.items()}
 
     def bracket(fa: str, fb: str) -> float:
-        fx, fp = grads[fa]
-        gx, gp = grads[fb]
-        return float(np.sum(fx * gp) - np.sum(fp * gx))
+        return _bracket(grads[fa], grads[fb])
 
     inv = system_invariants(sys)
     eps = np.zeros((3, 3, 3))
@@ -446,6 +449,7 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
     sys.require_free("evolve_observable")
     c = sys.units.c
     ratios = clock_ratio(np.arange(sys.n), sys)
+    grad_w = phase_gradient(W, sys)
     total = 0.0
     for i in range(sys.n):
         m_i = sys.masses[i]
@@ -454,5 +458,5 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
             h_i = np.sqrt(c**2 * (ps[i] @ ps[i]) + m_i**2 * c**4)
             return float(h_i**2 / (2.0 * m_i * c**2) + m_i * c**2 / 2.0)
 
-        total += ratios[i] * poisson_bracket(W, K_i, sys)
+        total += ratios[i] * _bracket(grad_w, phase_gradient(K_i, sys))
     return float(total)

@@ -23,13 +23,14 @@ Discretization scheme (reproducible): on a periodic grid of spacing
 :math:`\Delta`, every off-diagonal cell contributes its kernel moments
 :math:`\int S_1`, :math:`\int (z - z_j) S_1`, :math:`\int (z-z_j)^2 S_1`,
 applied to a local quadratic reconstruction of :math:`\psi(x - z)` by
-central differences.  The moments come from one 20-point Gauss-Legendre
-rule for every cell beyond the nearest pair and from adaptive quadrature
-for the nearest pair, where the :math:`1/z^2` pole of :math:`S_1` sits
-half a cell away; cells at :math:`\pm z_j` share their even moments and
-have opposite odd ones, so each offset is integrated once.  The
-self cell, where the PV subtraction leaves the finite integrand
-:math:`S_1(z) z^2 \psi''/2`, contributes its exact second moment to the
+central differences.  The moments of every cell come from one 20-point
+Gauss-Legendre rule: the :math:`1/z^2` pole of :math:`S_1` sits half a
+cell outside even the nearest pair, so the rule converges there like
+:math:`(2 + \sqrt{3})^{-40}`.  Cells at :math:`\pm z_j` share their even
+moments and have opposite odd ones, so each offset is integrated once.
+The self cell, where the PV subtraction leaves the finite integrand
+:math:`S_1(z) z^2 \psi''/2`, contributes its second moment, in closed form
+from :math:`\int_0^x t K_1(t)\,dt = \int_0^x K_0(t)\,dt - x K_0(x)`, to the
 standard three-point Laplacian stencil.  The subtraction pins the zero-
 frequency response at exactly :math:`mc^2`, which is how the delta
 counter-term enters.
@@ -43,8 +44,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import k0, k1
+from scipy.special import iti0k0, k0, k1
 
 from .errors import DomainError, ResolutionError
 
@@ -196,27 +196,15 @@ class SqrtOperator1D:
         n, dz = self.n, self.spacing
         p = self.params
         half = n // 2
-        # moments (w0, w1, w2) of the cells at offsets +m dz, m = 1..n//2;
-        # the mirror cell at -m dz has the same w0, w2 and the opposite w1
-        moments = np.empty((half, 3))
-
-        def s1(z: float) -> float:  # line_kernel_weight for one z > 0
-            return -p.hbar * p.c * p.mu * k1(p.mu * z) / (math.pi * z)
-
-        # nearest cell: adaptive, since the 1/z^2 pole sits half a cell away
-        lo, hi = 0.5 * dz, 1.5 * dz
-        moments[0] = [
-            quad(lambda z, k=k: (z - dz) ** k * s1(z), lo, hi,
-                 epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-            for k in range(3)
-        ]
-        if half > 1:
-            # farther cells: one fixed Gauss-Legendre rule, t = z - z_m
-            nodes, weights = _gauss_legendre_20()
-            t = 0.5 * dz * nodes
-            z = dz * np.arange(2, half + 1)[:, None] + t
-            powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
-            moments[1:] = line_kernel_weight(z, p) @ powers.T
+        # moments (w0, w1, w2) of the cells at offsets +m dz, m = 1..n//2,
+        # by one fixed Gauss-Legendre rule in t = z - z_m: the 1/z^2 pole
+        # at z = 0 lies half a cell outside even the nearest cell.  The
+        # mirror cell at -m dz has the same w0, w2 and the opposite w1.
+        nodes, weights = _gauss_legendre_20()
+        t = 0.5 * dz * nodes
+        z = dz * np.arange(1, half + 1)[:, None] + t
+        powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
+        moments = line_kernel_weight(z, p) @ powers.T
         # minimum-image offset of cell j: kernel is applied over one period
         offset = (np.arange(1, n) + half) % n - half
         w0, w1, w2 = moments[np.abs(offset) - 1].T
@@ -228,17 +216,11 @@ class SqrtOperator1D:
         above[1:] = w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
         table = centre + np.roll(below, -1) + np.roll(above, 1)
 
-        # self cell: PV kills the odd moment; S1(z) z^2 is finite at 0
-        def s1_z2(z: float) -> float:
-            az = abs(z)
-            if p.mu * az < 1e-12:
-                return -p.hbar * p.c / math.pi
-            return -p.hbar * p.c * p.mu * k1(p.mu * az) * az / math.pi
-
-        m2_self = quad(
-            s1_z2, -0.5 * dz, 0.5 * dz,
-            epsabs=1e-13, epsrel=1e-12, limit=200, points=[0.0],
-        )[0]
+        # self cell: PV kills the odd moment, and with x = mu dz / 2
+        # int_{-dz/2}^{dz/2} S1(z) z^2 dz = -(2 hbar c/(pi mu)) int_0^x t K1(t) dt,
+        # where int_0^x t K1 = int_0^x K0 - x K0(x)
+        x = 0.5 * p.mu * dz
+        m2_self = -2.0 * p.hbar * p.c / (math.pi * p.mu) * (iti0k0(x)[1] - x * k0(x))
         table[0] += p.rest_energy - w0.sum() - m2_self / dz**2
         table[1] += m2_self / (2.0 * dz**2)
         table[n - 1] += m2_self / (2.0 * dz**2)

@@ -165,15 +165,27 @@ class TestConfigValidation:
         assert main([payload["scenario"].replace("_", "-"), "--config", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_overflow_exits_3_with_one_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "fields", "charge": 1.0, "u": [1e300, 0.0, 0.0]},
+            # u_over_c * c overflows to inf, and numpy's inf / inf is invalid
+            {"scenario": "muon", "lifetime_s": 1e-300, "u_over_c": 1e300, "altitude_m": 1.5e4},
+            # inf from a Python float product, which numpy never sees
+            {"scenario": "muon", "lifetime_s": 1e300, "u_over_c": 1e10, "altitude_m": 1.5e4},
+            # width**2 underflows to 0, and the Gaussian divides by it
+            {"scenario": "spectral", "width_over_compton": 1e-300},
+        ],
+        ids=["fields-u", "muon-nan", "muon-python-overflow", "spectral-width"],
+    )
+    def test_overflow_exits_3_with_one_line(self, tmp_path, payload):
         # a fresh interpreter, so stderr is what a user sees: no numpy warnings
-        path = write_config(tmp_path, "big.json", {"scenario": "fields", "charge": 1.0,
-                                                   "u": [1e300, 0.0, 0.0]})
+        path = write_config(tmp_path, "big.json", payload)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "propertime.cli", "fields", "--config", path],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "propertime.cli", payload["scenario"],
+                               "--config", path], capture_output=True, text=True, env=env)
         assert proc.returncode == 3
         assert "RuntimeWarning" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
@@ -401,6 +413,14 @@ def test_result_table_rectangular_guard():
     table = ResultTable(columns=["a", "b"])
     with pytest.raises(ValueError):
         table.add_row(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_result_table_rejects_non_finite_cell(bad):
+    table = ResultTable(columns=["a", "b"])
+    with pytest.raises(ArithmeticError, match="non-finite b"):
+        table.add_row(1.0, bad)
+    assert table.rows == []
 
 
 def test_scenario_config_rejects_bad_units():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from propertime import many
 from propertime.errors import DomainError, SpacelikeSystemError
 from propertime.many import (
     ParticleSystem,
@@ -298,3 +299,17 @@ class TestEvolveObservable:
             lhs = evolve_observable(W, sys)
             rhs = poisson_bracket(W, K, sys)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    def test_observable_gradient_taken_once(self, monkeypatch):
+        # one gradient of W plus one per particle generator K_i
+        sys = ParticleSystem.random(5, RNG)
+        calls = []
+        gradient = many.phase_gradient
+
+        def counted(f, system):
+            calls.append(f)
+            return gradient(f, system)
+
+        monkeypatch.setattr(many, "phase_gradient", counted)
+        evolve_observable(lambda xs, ps: float(xs[0] @ ps[-1]), sys)
+        assert len(calls) == sys.n + 1
