@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import k1
 
 
@@ -89,6 +90,43 @@ def retarded_time_constant_velocity(x, tau, x0, u, c=1.0):
     if not real:
         raise ValueError("no physical retarded root")
     return max(real)
+
+
+def retarded_time_by_quadrature(x, tau, traj, knots=()):
+    """Retarded time of any worldline by bracketed root finding on adaptive quadrature.
+
+    The reference route of ``fields.retarded_time``: ``brentq`` on
+    |x - xbar(tau')| - int_{tau'}^{tau} b ds, each path integral an adaptive
+    ``quad`` of b = sqrt(c^2 + u.u) from the worldline's own ``velocity``
+    callable, with the given knots (a sampled worldline's grid) as
+    breakpoints where the integrand's derivatives jump.  The same bracket
+    search; the root to ``1e-14 max(1, |tau|)``, below the solve's own
+    ``1e-12 max(1, |tau|)``.
+    """
+    x = np.asarray(x, dtype=float)
+    c = traj.units.c
+    knots = np.asarray(knots, dtype=float)
+
+    def b(s):
+        u = np.asarray(traj.velocity(s), dtype=float)
+        return math.sqrt(c**2 + u @ u)
+
+    def gap(tp):
+        inner = knots[(knots > tp) & (knots < tau)]
+        path = quad(b, tp, tau, epsabs=1e-13, epsrel=1e-13, limit=400,
+                    points=inner if inner.size else None)[0]
+        return path - float(np.linalg.norm(x - np.asarray(traj.position(tp), dtype=float)))
+
+    scale = max(1.0, abs(tau))
+    step = max(float(np.linalg.norm(x - np.asarray(traj.position(tau), dtype=float))) / c,
+               1e-6 * scale)
+    lo = tau - step
+    while gap(max(lo, traj.tau_min)) <= 0.0:
+        if lo <= traj.tau_min:
+            raise ValueError("no retarded time inside the trajectory interval")
+        step *= 2.0
+        lo = tau - step
+    return brentq(gap, max(lo, traj.tau_min), tau, xtol=1e-14 * scale, rtol=4 * np.finfo(float).eps)
 
 
 def sqrt_table_adaptive(params, n, spacing):

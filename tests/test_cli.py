@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,8 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propertime.cli import (
+    _COMMON,
+    _REQUIRED,
+    SCENARIOS,
     ResultTable,
     ScenarioConfig,
     main,
@@ -229,6 +236,56 @@ def test_malformed_config_exits_2(tmp_path, capsys, payload, named):
     scenario = ORBIT["scenario"] if isinstance(payload, list) else payload["scenario"]
     assert main([scenario.replace("_", "-"), "--config", path]) == 2
     assert named in capsys.readouterr().err
+
+
+EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 + 1e-9, 1.0 - 1e-9)
+
+
+def registry_values(kind, lower):
+    """Values of one registry entry: its kind and shape, the edge values and
+    its lower bound; sizes stay small so each run is quick."""
+    if kind is int:
+        start = lower[0] if lower else 0
+        return st.integers(start - 1, start + 5)
+    if kind is float:
+        return st.sampled_from(EDGE_VALUES + tuple(lower)) | st.floats(-10.0, 10.0)
+    if isinstance(kind, set):
+        return st.sampled_from(sorted(kind))
+    values = registry_values(float, ())
+    for extent in reversed(kind):  # a shape; a None extent takes any length
+        values = st.integers(0, 3).flatmap(
+            lambda size, inner=values: st.lists(inner, min_size=size, max_size=size)
+        ) if extent is None else st.lists(values, min_size=extent, max_size=extent)
+    return values
+
+
+@st.composite
+def registry_configs(draw):
+    """A config for any scenario: every required key and some optional ones.
+    String keys name an output path, so they are left out."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    payload = {"scenario": scenario}
+    for key, (kind, default, *lower) in {**SCENARIOS[scenario][1], **_COMMON}.items():
+        if kind is not str and (default is _REQUIRED or draw(st.booleans())):
+            payload[key] = draw(registry_values(kind, lower))
+    return payload
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(payload=registry_configs())
+def test_generated_configs_keep_the_exit_code_contract(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_config(str(path), stream=out)
+    assert code in (0, 2, 3)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        rows = [line for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
+        cells = [cell for row in rows for cell in row.split(",")]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
 
 
 class TestRunConfig:

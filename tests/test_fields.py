@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import retarded_time_constant_velocity
+from oracles import retarded_time_by_quadrature, retarded_time_constant_velocity
 from propertime.errors import DegenerateGeometryError, RetardationError
 from propertime.fields import (
     SourceTrajectory,
@@ -71,6 +71,61 @@ class TestRetardedTime:
         )
         with pytest.raises(RetardationError):
             retarded_time(np.array([5.0, 0, 0]), 1.0, traj)
+
+
+class TestRetardedTimeAgainstQuadrature:
+    """Each path-integral route against brentq on adaptive quad, to the solve's tolerance."""
+
+    @staticmethod
+    def assert_matches_quadrature(traj, n, knots=()):
+        rng = np.random.default_rng(12)
+        for _ in range(n):
+            x = random_field_point(rng)
+            tau = rng.uniform(-1.0, 3.0)
+            expected = retarded_time_by_quadrature(x, tau, traj, knots)
+            assert abs(retarded_time(x, tau, traj) - expected) <= 1e-12 * max(1.0, abs(tau))
+
+    def test_static(self):
+        self.assert_matches_quadrature(SourceTrajectory.static(1.0, [0.3, -0.2, 0.5]), 10)
+
+    def test_uniform(self):
+        traj = SourceTrajectory.uniform(1.0, [0.3, -0.2, 0.5], [1.5, -0.7, 2.0])
+        self.assert_matches_quadrature(traj, 10)
+
+    def test_oscillating(self):
+        # one Gauss-Legendre rule over the whole interval misses by up to 1e-2 here
+        for _ in range(6):
+            self.assert_matches_quadrature(oscillating_source(RNG), 5)
+
+    def test_from_samples(self):
+        grid = np.arange(-30.0, 10.0 + 1e-9, 0.25)
+        for _ in range(3):
+            source = oscillating_source(RNG)
+            samples = np.array([source.x(t) for t in grid])
+            self.assert_matches_quadrature(SourceTrajectory.from_samples(1.0, grid, samples), 5, grid)
+
+    def test_kicked_charge(self):
+        # the velocity jumps at tau = 0.4: no panel across it passes a relative
+        # test, and open Gauss-Legendre panels miss it near their ends by 1e-4
+        u0, u1 = np.array([0.5, -0.3, 0.2]), np.array([-1.2, 0.8, 0.6])
+        traj = SourceTrajectory(
+            e=1.0,
+            position=lambda tau: (u0 * tau if tau < 0.4 else 0.4 * u0 + u1 * (tau - 0.4)),
+            velocity=lambda tau: u0 if tau < 0.4 else u1,
+            acceleration=lambda tau: np.zeros(3),
+        )
+        self.assert_matches_quadrature(traj, 20, [0.4])
+
+    def test_kinked_velocity(self):
+        # constant acceleration switched on at tau = 0.4: u is continuous, u' jumps
+        u0, a = np.array([0.5, -0.3, 0.2]), np.array([0.4, 0.9, -0.5])
+        traj = SourceTrajectory(
+            e=1.0,
+            position=lambda tau: u0 * tau + 0.5 * a * max(tau - 0.4, 0.0) ** 2,
+            velocity=lambda tau: u0 + a * max(tau - 0.4, 0.0),
+            acceleration=lambda tau: a * (tau >= 0.4),
+        )
+        self.assert_matches_quadrature(traj, 20, [0.4])
 
 
 class TestFieldGeometry:

@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -19,3 +20,16 @@ def test_module_exports_reach_the_package(name):
         and obj.__module__ == module.__name__
     }
     assert defined - set(module.__all__) == set()
+
+
+def test_source_silences_no_warning():
+    # with filterwarnings = error in the test settings, a warning a solver
+    # raises fails the tests; a filter inside the package would hide it
+    package = pathlib.Path(propertime.__file__).parent
+    silencing = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "warnings.catch_warnings" in line or 'simplefilter("ignore"' in line
+    ]
+    assert silencing == []
