@@ -23,6 +23,7 @@ exact gradient of K).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -78,6 +79,10 @@ class FieldConfiguration:
     grad_scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     curl_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (scalar, grad_scalar, make) from free() and coulomb(): make(m, c) is
+    # hamilton_rhs on six floats for that scalar and gradient with A absent.
+    # replace() and hand-built configurations drop it (see integrate_orbit).
+    _plain_rhs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def V(self, x) -> float:
         return float(self.scalar(_vec(x)))
@@ -120,7 +125,9 @@ class FieldConfiguration:
 
     @classmethod
     def free(cls) -> "FieldConfiguration":
-        return cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
+        conf = cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
+        conf._plain_rhs = (conf.scalar, conf.grad_scalar, _free_plain_rhs)
+        return conf
 
     @classmethod
     def coulomb(cls, strength: float) -> "FieldConfiguration":
@@ -132,7 +139,9 @@ class FieldConfiguration:
         def grad(x):
             return strength * x / math.sqrt(x @ x) ** 3
 
-        return cls(scalar=V, grad_scalar=grad)
+        conf = cls(scalar=V, grad_scalar=grad)
+        conf._plain_rhs = (V, grad, functools.partial(_coulomb_plain_rhs, strength))
+        return conf
 
 
 @dataclass(frozen=True)
@@ -160,16 +169,29 @@ def kinetic_momentum(state: PhaseState, fields: FieldConfiguration) -> np.ndarra
 
 def _evaluate(state: PhaseState, fields: FieldConfiguration):
     """(pi, H0, V) at the state: the one evaluation the functions below read."""
-    c = state.units.c
     pi = kinetic_momentum(state, fields)
-    return pi, math.sqrt(c**2 * (pi @ pi) + state.m**2 * c**4), fields.V(state.x)
+    _, H0, V = _energies(state.x, pi, state.m, state.units.c, fields)
+    return pi, H0, V
+
+
+def _energies(x: np.ndarray, pi: np.ndarray, m: float, c: float, fields: FieldConfiguration):
+    """(pi.pi, H0, V) at position x and kinetic momentum pi."""
+    pp = pi @ pi
+    return pp, math.sqrt(c**2 * pp + m**2 * c**4), fields.V(x)
 
 
 def _generator_values(state: PhaseState, fields: FieldConfiguration):
-    """(K, H, b) from one evaluation; K in its expanded form (see canonical_K)."""
-    c, m = state.units.c, state.m
-    pi, H0, V = _evaluate(state, fields)
-    K = (pi @ pi) / (2.0 * m) + m * c**2 + V**2 / (2.0 * m * c**2) + V * H0 / (m * c**2)
+    """(K, H, b) from one evaluation."""
+    return _generator_values_at(state.x, kinetic_momentum(state, fields), state.m, state.units.c, fields)
+
+
+def _generator_values_at(x: np.ndarray, pi: np.ndarray, m: float, c: float,
+                         fields: FieldConfiguration):
+    """(K, H, b) at position x and kinetic momentum pi, K in its expanded form
+    (see canonical_K).  Orbit records on both routes of integrate_orbit come
+    from here, so they equal canonical_K, hamiltonian_H and b_kinetic."""
+    pp, H0, V = _energies(x, pi, m, c, fields)
+    K = pp / (2.0 * m) + m * c**2 + V**2 / (2.0 * m * c**2) + V * H0 / (m * c**2)
     return float(K), H0 + V, H0 / (m * c)
 
 
@@ -312,6 +334,110 @@ class OrbitTrajectory:
         return float(np.max(np.abs(self.K - k0)) / abs(k0))
 
 
+# Plain-float right-hand sides of free() and coulomb() for integrate_orbit.
+# Each is hamilton_rhs for its configuration with A absent, written out on six
+# floats in the same order of operations, so only the dot products x.x and
+# pi.pi round differently: they are summed left to right here, while numpy's
+# BLAS dot may fuse its multiply-adds.  Where
+# numpy would overflow, divide by zero or meet the pole, the float code raises
+# an ArithmeticError or leaves a non-finite state, and _plain_rk4 hands that
+# step to the generic route.  A dot product past _DOT_MAX raises too, so that
+# numpy's differently rounded one cannot overflow where the float sum did not.
+_DOT_MAX = 1e300
+
+
+def _free_plain_rhs(m: float, c: float):
+    c2, m2c4, mc = c**2, m**2 * c**4, m * c
+
+    def rhs(x0, x1, x2, p0, p1, p2):
+        pp = p0 * p0 + p1 * p1 + p2 * p2
+        if not pp < _DOT_MAX:
+            raise OverflowError("pi.pi near the float range")
+        H0 = math.sqrt(c2 * pp + m2c4)
+        factor = _renorm_factor(H0, 0.0)
+        dp = -0.0 * (H0 / mc / c) * factor
+        return factor * p0 / m, factor * p1 / m, factor * p2 / m, dp, dp, dp
+
+    return rhs
+
+
+def _coulomb_plain_rhs(strength: float, m: float, c: float):
+    strength = float(strength)
+    c2, m2c4, mc = c**2, m**2 * c**4, m * c
+
+    def rhs(x0, x1, x2, p0, p1, p2):
+        r2 = x0 * x0 + x1 * x1 + x2 * x2
+        pp = p0 * p0 + p1 * p1 + p2 * p2
+        if not (r2 < _DOT_MAX and pp < _DOT_MAX):
+            raise OverflowError("x.x or pi.pi near the float range")
+        r = math.sqrt(r2)
+        H0 = math.sqrt(c2 * pp + m2c4)
+        factor = _renorm_factor(H0, -strength / r)
+        b_c, r3 = H0 / mc / c, r**3
+        return (
+            factor * p0 / m, factor * p1 / m, factor * p2 / m,
+            -(strength * x0 / r3) * b_c * factor,
+            -(strength * x1 / r3) * b_c * factor,
+            -(strength * x2 / r3) * b_c * factor,
+        )
+
+    return rhs
+
+
+def _plain_rk4(make_rhs, state0: PhaseState, fields: FieldConfiguration, dtau: float,
+               n_steps: int, record_every: int, rows: list):
+    """integrate_orbit's steps on six floats; returns (k, x, p) for the generic
+    route to go on from.  k is n_steps when every step ran; otherwise it is the
+    step whose evaluation raised or whose new state is not finite, and x, p are
+    the state before it, so the generic route redoes that step and raises what
+    it raises there."""
+    m, c = state0.m, state0.units.c
+
+    def record(tau, x, p):
+        # with A absent pi is p up to the signs of zeros, which pi @ pi ignores
+        rows.append((tau, x, p, *_generator_values_at(x, p, m, c, fields)))
+
+    record(state0.tau, state0.x.copy(), state0.p.copy())
+    # Python floats in the loop: numpy scalars are slower and warn where they do not
+    try:
+        f = make_rhs(float(m), float(c))
+    except ArithmeticError:  # m or c beyond the float range of m**2 c**4
+        return 0, state0.x.copy(), state0.p.copy()
+    x0, x1, x2 = state0.x.tolist()
+    p0, p1, p2 = state0.p.tolist()
+    h = float(dtau)
+    h2, h6 = 0.5 * h, h / 6.0
+    for k in range(n_steps):
+        try:
+            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
+            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
+                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
+                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
+            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
+                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
+                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
+            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
+                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
+                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
+        except ArithmeticError:
+            break
+        nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
+        nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
+        nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
+        np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
+        np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+        np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        if not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
+            break
+        x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
+        if (k + 1) % record_every == 0 or k == n_steps - 1:
+            xp = np.array((x0, x1, x2, p0, p1, p2))
+            record(state0.tau + (k + 1) * dtau, xp[:3], xp[3:])
+    else:
+        k = n_steps
+    return k, np.array((x0, x1, x2)), np.array((p0, p1, p2))
+
+
 def integrate_orbit(
     state0: PhaseState,
     fields: FieldConfiguration,
@@ -323,7 +449,10 @@ def integrate_orbit(
     """Classic RK4 over the proper-time equations of motion.
 
     Conserved quantities are recorded rather than enforced, so K drift is
-    a direct diagnostic of the step size.
+    a direct diagnostic of the step size.  ``hamilton_rhs`` on the fields of
+    :meth:`FieldConfiguration.free` or :meth:`FieldConfiguration.coulomb`
+    runs on plain floats; x and p then differ from the generic route only by
+    the rounding of two dot products.
     """
     if not dtau > 0.0:
         raise DomainError(f"dtau must be positive, got {dtau}")
@@ -334,24 +463,24 @@ def integrate_orbit(
     x = state0.x.copy()
     p = state0.p.copy()
     m, e, units = state0.m, state0.e, state0.units
-    taus, xs, ps, Ks, Hs, bs = [], [], [], [], [], []
+    rows = []  # (tau, x, p, K, H, b) per record
 
     def record(tau):
-        K, H, b = _generator_values(PhaseState(x=x, p=p, m=m, e=e, tau=tau, units=units), fields)
-        taus.append(tau)
-        xs.append(x.copy())
-        ps.append(p.copy())
-        Ks.append(K)
-        Hs.append(H)
-        bs.append(b)
+        st = PhaseState(x=x, p=p, m=m, e=e, tau=tau, units=units)
+        rows.append((tau, x.copy(), p.copy(), *_generator_values(st, fields)))
 
     def deriv(xc, pc):
         st = PhaseState(x=xc, p=pc, m=m, e=e, units=units)
         return rhs(st, fields)
 
-    record(state0.tau)
-    tau = state0.tau
-    for k in range(n_steps):
+    start = 0
+    plain = fields._plain_rhs
+    if (rhs is hamilton_rhs and fields.vector is None and plain is not None
+            and plain[:2] == (fields.scalar, fields.grad_scalar)):
+        start, x, p = _plain_rk4(plain[2], state0, fields, dtau, n_steps, record_every, rows)
+    else:
+        record(state0.tau)
+    for k in range(start, n_steps):
         try:
             k1x, k1p = deriv(x, p)
             k2x, k2p = deriv(x + 0.5 * dtau * k1x, p + 0.5 * dtau * k1p)
@@ -366,14 +495,8 @@ def integrate_orbit(
         tau = state0.tau + (k + 1) * dtau
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             record(tau)
-    return OrbitTrajectory(
-        tau=np.array(taus),
-        x=np.array(xs),
-        p=np.array(ps),
-        K=np.array(Ks),
-        H=np.array(Hs),
-        b=np.array(bs),
-    )
+    tau, x, p, K, H, b = (np.array(column) for column in zip(*rows))
+    return OrbitTrajectory(tau=tau, x=x, p=p, K=K, H=H, b=b)
 
 
 def metric_deformation(state: PhaseState, fields: FieldConfiguration) -> float:

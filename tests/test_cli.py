@@ -182,8 +182,11 @@ class TestConfigValidation:
             {"scenario": "muon", "lifetime_s": 1e300, "u_over_c": 1e10, "altitude_m": 1.5e4},
             # width**2 underflows to 0, and the Gaussian divides by it
             {"scenario": "spectral", "width_over_compton": 1e-300},
+            # the pull at |x| = 1e-100 overflows the momentum in the first step
+            {"scenario": "orbit", "potential": "coulomb", "strength": 1.0, "m": 1.0,
+             "x0": [1e-100, 0.0, 0.0], "p0": [0.0, 0.0, 0.0], "dtau": 0.1, "steps": 5},
         ],
-        ids=["fields-u", "muon-nan", "muon-python-overflow", "spectral-width"],
+        ids=["fields-u", "muon-nan", "muon-python-overflow", "spectral-width", "orbit-momentum"],
     )
     def test_overflow_exits_3_with_one_line(self, tmp_path, payload):
         # a fresh interpreter, so stderr is what a user sees: no numpy warnings

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from oracles import newtonian_orbit
+from propertime import dynamics
 from propertime.dynamics import (
     FieldConfiguration,
     PhaseState,
@@ -23,6 +26,7 @@ from propertime.dynamics import (
     time_reversal_check,
 )
 from propertime.errors import DomainError, RenormalizationPoleError
+from propertime.kinematics import UnitSystem
 from propertime.many import ParticleSystem, free_flight
 
 RNG = np.random.default_rng(99)
@@ -477,3 +481,157 @@ class TestBracketChain:
             lhs = bracket_fd(K_fn, W, x, p)
             rhs = H_val * bracket_fd(H_fn, W, x, p)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+# ------------------------------------------------ plain-float and generic routes
+# integrate_orbit runs hamilton_rhs on free() and coulomb() fields in plain
+# floats; the same potentials rebuilt from their public callables take the
+# generic object route, which stays the reference.
+
+
+@pytest.fixture
+def plain_steps(monkeypatch):
+    """The steps each integrate_orbit call ran on the plain-float route."""
+    steps = []
+    run = dynamics._plain_rk4
+
+    def spy(*args):
+        result = run(*args)
+        steps.append(result[0])
+        return result
+
+    monkeypatch.setattr(dynamics, "_plain_rk4", spy)
+    return steps
+
+
+def generic(fields):
+    return FieldConfiguration(scalar=fields.scalar, grad_scalar=fields.grad_scalar)
+
+
+def assert_records_equal_their_functions(traj, st, fields):
+    for i in range(traj.tau.size):
+        rec = PhaseState(traj.x[i], traj.p[i], m=st.m, e=st.e, tau=traj.tau[i], units=st.units)
+        assert traj.K[i] == canonical_K(rec, fields)
+        assert traj.H[i] == hamiltonian_H(rec, fields)
+        assert traj.b[i] == b_kinetic(rec, fields)
+
+
+@pytest.mark.parametrize(
+    "fields, st, dtau, n_steps, record_every",
+    [
+        (COULOMB, PhaseState([25.0, 0, 0], [0.0, 0.2, 0.0], m=1.0),
+         2 * math.pi * 25.0 / 0.2 / 2500, 3000, 1),
+        (FieldConfiguration.coulomb(0.7),
+         PhaseState([3.0, 1.0, -0.5], [0.1, 0.9, 0.2], m=1.3, e=-0.4, tau=-4.0,
+                    units=UnitSystem(c=2.5)), 0.01, 500, 7),
+        (FREE, PhaseState([1.0, -2.0, 0.5], [0.3, 0.4, -0.2], m=2.0), 0.05, 200, 1),
+        (FREE, PhaseState([0.0, 0.0, 0.0], [0.3, -2.0, 0.1], m=0.7, tau=1.5,
+                          units=UnitSystem(c=3.0)), 0.05, 101, 10),
+        (COULOMB, PhaseState([2.0, 0.0, 0.0], [0.0, 0.6, 0.0], m=1.0, tau=2.0), 0.1, 0, 1),
+    ],
+    ids=["coulomb", "coulomb-c2.5-tau-every7", "free", "free-origin-c3-tau-every10",
+         "zero-steps"],
+)
+def test_plain_route_matches_generic_route(plain_steps, fields, st, dtau, n_steps, record_every):
+    fast = integrate_orbit(st, fields, dtau, n_steps, record_every=record_every)
+    # every step on plain floats, no hand-over: the free orbit from the origin
+    # never divides by |x|
+    assert plain_steps == [n_steps]
+    slow = integrate_orbit(st, generic(fields), dtau, n_steps, record_every=record_every)
+    assert plain_steps == [n_steps]
+    np.testing.assert_array_equal(fast.tau, slow.tau)
+    records = 1 + n_steps // record_every + (n_steps % record_every != 0)
+    assert fast.x.shape == slow.x.shape == (records, 3)
+    norm = np.linalg.norm
+    assert np.all(norm(fast.x - slow.x, axis=1) <= 1e-12 * (1.0 + norm(slow.x, axis=1)))
+    assert np.all(norm(fast.p - slow.p, axis=1) <= 1e-12 * (1.0 + norm(slow.p, axis=1)))
+    assert abs(fast.k_drift - slow.k_drift) <= 1e-13
+    assert_records_equal_their_functions(fast, st, fields)
+    assert_records_equal_their_functions(slow, st, fields)
+
+
+def test_free_plain_route_is_the_generic_route_bit_for_bit():
+    # V = 0 makes the renormalization factor exactly 1, so the dot product,
+    # the one operation the routes round differently, drops out of x and p
+    st = PhaseState([0.0, 0.0, 0.0], [0.3, -2.0, 0.1], m=0.7)
+    fast = integrate_orbit(st, FREE, 0.05, 300)
+    slow = integrate_orbit(st, generic(FREE), 0.05, 300)
+    np.testing.assert_array_equal(fast.x, slow.x)
+    np.testing.assert_array_equal(fast.p, slow.p)
+
+
+def digest(traj):
+    h = hashlib.sha256()
+    for column in (traj.tau, traj.x, traj.p, traj.K, traj.H, traj.b):
+        h.update(np.ascontiguousarray(column, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: integrate_orbit(PhaseState([1.05, 0, 0], [0.0, 0.1, 0.0], m=1.0), COULOMB,
+                                 0.002, 500, rhs=approximate_rhs), "0d16bd51a02b1263"),
+        (lambda: integrate_orbit(
+            PhaseState([2.0, 0.3, 0.1], [0.1, 0.5, 0.05], m=1.3, e=0.8),
+            dataclasses.replace(COULOMB, vector=lambda x: 0.35 * np.array([-x[1], x[0], 0.0])),
+            0.01, 200, record_every=3), "e8db62beec3c88a0"),
+        (lambda: integrate_orbit(PhaseState([25.0, 0, 0], [0.0, 0.2, 0.0], m=1.0, tau=3.0),
+                                 generic(COULOMB), 0.25, 400, record_every=7), "b686269c2adc8cb6"),
+    ],
+    ids=["approximate-rhs", "replaced-with-vector", "hand-built"],
+)
+def test_other_orbits_take_the_unchanged_generic_route(plain_steps, run, expected):
+    # the digests are of the object route's output from before the plain-float
+    # route existed: these orbits still take it, and it still gives the same bits
+    assert digest(run()) == expected
+    assert plain_steps == []
+
+
+@pytest.mark.parametrize("name, value", [
+    ("vector", lambda x: 0.35 * np.array([-x[1], x[0], 0.0])),
+    ("scalar", lambda x: -2.0 / math.sqrt(x @ x)),
+    ("grad_scalar", lambda x: 2.0 * x / math.sqrt(x @ x) ** 3),
+], ids=["vector", "scalar", "grad_scalar"])
+def test_fields_changed_in_place_take_the_generic_route(plain_steps, name, value):
+    # the plain right-hand side is coulomb(1)'s; once a field is assigned it no longer is
+    fields = FieldConfiguration.coulomb(1.0)
+    setattr(fields, name, value)
+    st = PhaseState([2.0, 0.3, 0.1], [0.1, 0.5, 0.05], m=1.3, e=0.8)
+    expected = dataclasses.replace(fields)  # the same callables, no plain right-hand side
+    got = integrate_orbit(st, fields, 0.01, 50)
+    assert plain_steps == []
+    assert digest(got) == digest(integrate_orbit(st, expected, 0.01, 50))
+
+
+ORIGIN = PhaseState([0.0, 0.0, 0.0], [0.1, 0.0, 0.0], m=1.0)
+
+
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+@pytest.mark.parametrize(
+    "fields, st, dtau, n_steps",
+    [
+        (COULOMB, ORIGIN, 0.1, 5),  # V divides by |x| = 0 in the first record
+        (COULOMB, PhaseState([1e-100, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5),  # p overflows
+        (COULOMB, PhaseState([1e-30, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5),  # r**3 overflows
+        (COULOMB, PhaseState([1e200, 0, 0], [0.0, 1.0, 0.0], m=1.0), 0.1, 5),  # x.x overflows
+        (FREE, PhaseState([1e308, 0, 0], [1.0, 0.0, 0.0], m=1.0), 1e307, 20),  # x at step 7
+        # the float route's finiteness test sums x and p, which overflows at
+        # step 9; the generic route takes over there and finishes the orbit
+        (FREE, PhaseState([8e307, 8e307, 0], [1.0, 1.0, 0.0], m=1.0), 1e306, 20),
+    ],
+    ids=["origin", "momentum-overflow", "radius-cubed", "far", "free-position-overflow",
+         "hand-over-midway"],
+)
+def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, errstate):
+    def outcome(conf):
+        try:
+            with np.errstate(all=errstate):
+                return "finished", digest(integrate_orbit(st, conf, dtau, n_steps))
+        except Exception as exc:  # the exception itself is what is compared
+            return type(exc), str(exc)
+
+    fast = outcome(fields)
+    assert fast == outcome(generic(fields))
+    if st is ORIGIN:  # a plain ZeroDivisionError stays one, not a pole or an abort
+        assert fast[0] is ZeroDivisionError

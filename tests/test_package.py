@@ -1,6 +1,9 @@
 import importlib
 import inspect
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -33,3 +36,26 @@ def test_source_silences_no_warning():
         if "warnings.catch_warnings" in line or 'simplefilter("ignore"' in line
     ]
     assert silencing == []
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    # under this project's pytest settings, warnings raised while hypothesis
+    # writes its report must not turn a failing example into an INTERNALERROR
+    test = tmp_path / "test_fails.py"
+    test.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+    """))
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(test)],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
