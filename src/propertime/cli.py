@@ -135,6 +135,8 @@ class ScenarioConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):  # a verify check name
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -472,7 +474,11 @@ def _run_verify(out: Optional[str]) -> int:
         print(f"{c.name:<{width}}  {c.residual:12.3e}  < {c.tolerance:8.0e}  {status}")
         ok = ok and c.passed
     if out:
-        table.write(out)
+        try:
+            table.write(out)
+        except OSError as exc:
+            print(f"config error: {exc}", file=_sys.stderr)
+            return 2
     print(("all checks passed" if ok else "CHECKS FAILED"))
     return 0 if ok else 3
 

@@ -65,7 +65,7 @@ def _curl(jac: np.ndarray) -> np.ndarray:
     return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldConfiguration:
     """Potential energy V(x) and vector potential A(x) with derivatives.
 
@@ -79,10 +79,10 @@ class FieldConfiguration:
     grad_scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     curl_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # (scalar, grad_scalar, make) from free() and coulomb(): make(m, c) is
-    # hamilton_rhs on six floats for that scalar and gradient with A absent.
-    # replace() and hand-built configurations drop it (see integrate_orbit).
-    _plain_rhs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # make(m, c) from free() and coulomb(): hamilton_rhs on six floats for
+    # their scalar and gradient with A absent.  replace() and hand-built
+    # configurations drop it (see integrate_orbit).
+    _plain_rhs: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def V(self, x) -> float:
         return float(self.scalar(_vec(x)))
@@ -126,7 +126,7 @@ class FieldConfiguration:
     @classmethod
     def free(cls) -> "FieldConfiguration":
         conf = cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
-        conf._plain_rhs = (conf.scalar, conf.grad_scalar, _free_plain_rhs)
+        object.__setattr__(conf, "_plain_rhs", _free_plain_rhs)
         return conf
 
     @classmethod
@@ -140,7 +140,7 @@ class FieldConfiguration:
             return strength * x / math.sqrt(x @ x) ** 3
 
         conf = cls(scalar=V, grad_scalar=grad)
-        conf._plain_rhs = (V, grad, functools.partial(_coulomb_plain_rhs, strength))
+        object.__setattr__(conf, "_plain_rhs", functools.partial(_coulomb_plain_rhs, strength))
         return conf
 
 
@@ -188,8 +188,8 @@ def _generator_values(state: PhaseState, fields: FieldConfiguration):
 def _generator_values_at(x: np.ndarray, pi: np.ndarray, m: float, c: float,
                          fields: FieldConfiguration):
     """(K, H, b) at position x and kinetic momentum pi, K in its expanded form
-    (see canonical_K).  Orbit records on both routes of integrate_orbit come
-    from here, so they equal canonical_K, hamiltonian_H and b_kinetic."""
+    (see canonical_K).  integrate_orbit's records come from here, so they
+    equal canonical_K, hamiltonian_H and b_kinetic."""
     pp, H0, V = _energies(x, pi, m, c, fields)
     K = pp / (2.0 * m) + m * c**2 + V**2 / (2.0 * m * c**2) + V * H0 / (m * c**2)
     return float(K), H0 + V, H0 / (m * c)
@@ -338,11 +338,12 @@ class OrbitTrajectory:
 # Each is hamilton_rhs for its configuration with A absent, written out on six
 # floats in the same order of operations, so only the dot products x.x and
 # pi.pi round differently: they are summed left to right here, while numpy's
-# BLAS dot may fuse its multiply-adds.  Where
-# numpy would overflow, divide by zero or meet the pole, the float code raises
-# an ArithmeticError or leaves a non-finite state, and _plain_rk4 hands that
-# step to the generic route.  A dot product past _DOT_MAX raises too, so that
-# numpy's differently rounded one cannot overflow where the float sum did not.
+# BLAS dot may fuse its multiply-adds.  Where numpy would overflow, divide by
+# zero or meet the pole, the float code raises an ArithmeticError or leaves a
+# non-finite state, and integrate_orbit redoes that step, and every later one,
+# through the generic right-hand side.  A dot product past _DOT_MAX raises too,
+# so that numpy's differently rounded one cannot overflow where the float sum
+# did not.
 _DOT_MAX = 1e300
 
 
@@ -384,60 +385,6 @@ def _coulomb_plain_rhs(strength: float, m: float, c: float):
     return rhs
 
 
-def _plain_rk4(make_rhs, state0: PhaseState, fields: FieldConfiguration, dtau: float,
-               n_steps: int, record_every: int, rows: list):
-    """integrate_orbit's steps on six floats; returns (k, x, p) for the generic
-    route to go on from.  k is n_steps when every step ran; otherwise it is the
-    step whose evaluation raised or whose new state is not finite, and x, p are
-    the state before it, so the generic route redoes that step and raises what
-    it raises there."""
-    m, c = state0.m, state0.units.c
-
-    def record(tau, x, p):
-        # with A absent pi is p up to the signs of zeros, which pi @ pi ignores
-        rows.append((tau, x, p, *_generator_values_at(x, p, m, c, fields)))
-
-    record(state0.tau, state0.x.copy(), state0.p.copy())
-    # Python floats in the loop: numpy scalars are slower and warn where they do not
-    try:
-        f = make_rhs(float(m), float(c))
-    except ArithmeticError:  # m or c beyond the float range of m**2 c**4
-        return 0, state0.x.copy(), state0.p.copy()
-    x0, x1, x2 = state0.x.tolist()
-    p0, p1, p2 = state0.p.tolist()
-    h = float(dtau)
-    h2, h6 = 0.5 * h, h / 6.0
-    for k in range(n_steps):
-        try:
-            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
-            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
-                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
-                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
-            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
-                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
-                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
-            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
-                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
-                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
-        except ArithmeticError:
-            break
-        nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
-        nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
-        nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
-        np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
-        np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
-        np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
-        if not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
-            break
-        x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            xp = np.array((x0, x1, x2, p0, p1, p2))
-            record(state0.tau + (k + 1) * dtau, xp[:3], xp[3:])
-    else:
-        k = n_steps
-    return k, np.array((x0, x1, x2)), np.array((p0, p1, p2))
-
-
 def integrate_orbit(
     state0: PhaseState,
     fields: FieldConfiguration,
@@ -449,10 +396,12 @@ def integrate_orbit(
     """Classic RK4 over the proper-time equations of motion.
 
     Conserved quantities are recorded rather than enforced, so K drift is
-    a direct diagnostic of the step size.  ``hamilton_rhs`` on the fields of
-    :meth:`FieldConfiguration.free` or :meth:`FieldConfiguration.coulomb`
-    runs on plain floats; x and p then differ from the generic route only by
-    the rounding of two dot products.
+    a direct diagnostic of the step size.  The state is six scalars.
+    ``hamilton_rhs`` on the fields of :meth:`FieldConfiguration.free` or
+    :meth:`FieldConfiguration.coulomb` runs on plain floats; x and p then
+    differ from the generic route only by the rounding of two dot products.
+    Any other ``rhs`` is called on a :class:`PhaseState` and returns numpy
+    scalars, so numpy's ``errstate`` covers the whole step.
     """
     if not dtau > 0.0:
         raise DomainError(f"dtau must be positive, got {dtau}")
@@ -460,41 +409,70 @@ def integrate_orbit(
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     if record_every < 1:
         raise DomainError(f"record_every must be at least 1, got {record_every}")
-    x = state0.x.copy()
-    p = state0.p.copy()
     m, e, units = state0.m, state0.e, state0.units
+    c = units.c
     rows = []  # (tau, x, p, K, H, b) per record
 
-    def record(tau):
-        st = PhaseState(x=x, p=p, m=m, e=e, tau=tau, units=units)
-        rows.append((tau, x.copy(), p.copy(), *_generator_values(st, fields)))
+    def record(tau, x, p):
+        # with A absent pi is p up to the signs of zeros, which pi @ pi ignores
+        pi = p if fields.vector is None else p - (e / c) * fields.A(x)
+        rows.append((tau, x, p, *_generator_values_at(x, pi, m, c, fields)))
 
-    def deriv(xc, pc):
-        st = PhaseState(x=xc, p=pc, m=m, e=e, units=units)
-        return rhs(st, fields)
+    def generic(x0, x1, x2, p0, p1, p2):
+        st = PhaseState(x=np.array((x0, x1, x2)), p=np.array((p0, p1, p2)), m=m, e=e, units=units)
+        u, dp = rhs(st, fields)
+        return (*u, *dp)
 
-    start = 0
-    plain = fields._plain_rhs
-    if (rhs is hamilton_rhs and fields.vector is None and plain is not None
-            and plain[:2] == (fields.scalar, fields.grad_scalar)):
-        start, x, p = _plain_rk4(plain[2], state0, fields, dtau, n_steps, record_every, rows)
-    else:
-        record(state0.tau)
-    for k in range(start, n_steps):
+    f = generic
+    if rhs is hamilton_rhs and fields.vector is None and fields._plain_rhs is not None:
+        # Python floats in the loop: numpy scalars are slower and warn where they do not
         try:
-            k1x, k1p = deriv(x, p)
-            k2x, k2p = deriv(x + 0.5 * dtau * k1x, p + 0.5 * dtau * k1p)
-            k3x, k3p = deriv(x + 0.5 * dtau * k2x, p + 0.5 * dtau * k2p)
-            k4x, k4p = deriv(x + dtau * k3x, p + dtau * k3p)
-        except (RenormalizationPoleError, FloatingPointError) as exc:
-            raise IntegrationAbort(k, str(exc)) from exc
-        x = x + (dtau / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (dtau / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise IntegrationAbort(k, "state overflowed")
-        tau = state0.tau + (k + 1) * dtau
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            record(tau)
+            f = fields._plain_rhs(float(m), float(c))
+        except ArithmeticError:  # m or c beyond the float range of m**2 c**4
+            pass
+    record(state0.tau, state0.x, state0.p)
+    x0, x1, x2 = state0.x.tolist()
+    p0, p1, p2 = state0.p.tolist()
+    h = float(dtau)
+    h2, h6 = 0.5 * h, h / 6.0
+    k = 0
+    while k < n_steps:
+        try:
+            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
+            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
+                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
+                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
+            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
+                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
+                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
+            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
+                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
+                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
+        except ArithmeticError as exc:
+            if f is not generic:  # redo the step through the generic right-hand side
+                f = generic
+                continue
+            if isinstance(exc, (RenormalizationPoleError, FloatingPointError)):
+                raise IntegrationAbort(k, str(exc)) from exc
+            raise
+        nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
+        nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
+        nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
+        np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
+        np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+        np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+        if f is generic:
+            # one component at a time: their sum can overflow while each is finite
+            if not all(map(math.isfinite, (nx0, nx1, nx2, np0, np1, np2))):
+                raise IntegrationAbort(k, "state overflowed")
+        elif not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
+            f = generic
+            continue
+        x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
+        k += 1
+        if k % record_every == 0 or k == n_steps:
+            xp = np.array((x0, x1, x2, p0, p1, p2))
+            record(state0.tau + k * dtau, xp[:3], xp[3:])
     tau, x, p, K, H, b = (np.array(column) for column in zip(*rows))
     return OrbitTrajectory(tau=tau, x=x, p=p, K=K, H=H, b=b)
 

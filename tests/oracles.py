@@ -1,9 +1,12 @@
 """Independent reference implementations used only as test oracles.
 
 Nothing in here may call into the library's own transform/field/operator
-code paths; these are the second routes of the dual-route checks.
+code paths; these are the second routes of the dual-route checks.  The one
+exception, :func:`radial_infall`, is no oracle: it caches a library run that
+two tests read.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -176,3 +179,21 @@ def sqrt_table_adaptive(params, n, spacing):
     # symmetrize across the periodic seam (exactly self-adjoint table)
     idx = (-np.arange(n)) % n
     return 0.5 * (table + table[idx])
+
+
+@functools.cache
+def radial_infall():
+    """The weak-coupling release from rest at r = 1.05 under V = -1/r.
+
+    40,000 steps of ``approximate_rhs``, integrated once per session for the
+    radial-infall test and criterion 6; its arrays are read-only.
+    """
+    from propertime import FieldConfiguration, PhaseState, approximate_rhs, integrate_orbit
+
+    traj = integrate_orbit(
+        PhaseState(np.array([1.05, 0, 0]), np.zeros(3), m=1.0),
+        FieldConfiguration.coulomb(1.0), 0.002, 40_000, rhs=approximate_rhs,
+    )
+    for column in (traj.tau, traj.x, traj.p, traj.K, traj.H, traj.b):
+        column.setflags(write=False)
+    return traj

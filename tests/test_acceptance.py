@@ -17,6 +17,7 @@ from oracles import (
     bessel_k_via_quadrature,
     einstein_velocity_composition,
     newtonian_orbit,
+    radial_infall,
     retarded_time_constant_velocity,
 )
 from propertime import (
@@ -26,7 +27,6 @@ from propertime import (
     PhaseState,
     SourceDensities,
     SourceTrajectory,
-    approximate_rhs,
     boost_acceleration,
     boost_acceleration_inverse,
     boost_event,
@@ -336,10 +336,7 @@ def test_criterion_6_dynamics():
 
     r0 = coulomb_critical_radius(1.0, 1.0)
 
-    infall = integrate_orbit(
-        PhaseState(np.array([1.05, 0, 0]), np.zeros(3), m=1.0),
-        coulomb, 0.002, 40_000, rhs=approximate_rhs,
-    )
+    infall = radial_infall()
     min_radius = float(np.min(np.linalg.norm(infall.x, axis=1)))
 
     p0 = 0.01

@@ -22,9 +22,11 @@ from propertime.cli import (
     scenario_muon,
     scenario_rest_source,
 )
+from propertime import verify
 from propertime.constants import C_SI, MUON_LIFETIME_S
 from propertime.errors import PropertimeError
 from propertime.kinematics import NATURAL, SI, proper_from_observer, redshift_z
+from propertime.verify import Check
 
 
 def write_config(tmp_path, name, payload):
@@ -206,6 +208,34 @@ def test_verify_has_no_units_option():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--units", "si"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("residual, code", [(0.5, 0), (2.0, 3)], ids=["passing", "failing"])
+def test_verify_out_writes_one_row_per_check(tmp_path, monkeypatch, capsys, residual, code):
+    checks = [Check("kinematics: b = gamma c", 2e-16, 1e-12), Check("stub: last", residual, 1.0)]
+    monkeypatch.setattr(verify, "run_all", lambda: checks)
+    out = tmp_path / "checks.csv"
+    assert main(["verify", "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0] == "name,residual,tolerance,passed"
+    assert [line.split(",") for line in lines[1:]] == [
+        [c.name, format(c.residual, ".17g"), format(c.tolerance, ".17g"), str(int(c.passed))]
+        for c in checks
+    ]
+
+
+def test_verify_check_names_fit_one_csv_cell():
+    assert all("," not in check.name for check in verify.run_all())
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_all", lambda: [Check("stub: only", 0.5, 1.0)])
+    out = tmp_path / "missing_dir" / "checks.csv"
+    assert main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.parent.exists()
 
 
 ORBIT = {"scenario": "orbit", "m": 1.0, "x0": [1.0, 0, 0], "p0": [0, 1.0, 0], "dtau": 0.1, "steps": 5}

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import newtonian_orbit
+from oracles import newtonian_orbit, radial_infall
 from propertime import dynamics
 from propertime.dynamics import (
     FieldConfiguration,
@@ -25,7 +26,7 @@ from propertime.dynamics import (
     propertime_force,
     time_reversal_check,
 )
-from propertime.errors import DomainError, RenormalizationPoleError
+from propertime.errors import DomainError, IntegrationAbort, RenormalizationPoleError
 from propertime.kinematics import UnitSystem
 from propertime.many import ParticleSystem, free_flight
 
@@ -397,8 +398,7 @@ class TestOrbits:
         # gentle release just above the critical radius; the corrected force
         # is conservative with potential V + V^2/(2 m c^2)
         start = 1.05
-        st = PhaseState(np.array([start, 0, 0]), np.zeros(3), m=1.0)
-        traj = integrate_orbit(st, COULOMB, 0.002, 40_000, rhs=approximate_rhs)
+        traj = radial_infall()
         radii = np.linalg.norm(traj.x, axis=1)
         assert np.min(radii) > 0.9
         assert np.max(radii) <= start * (1 + 1e-9)
@@ -484,24 +484,29 @@ class TestBracketChain:
 
 
 # ------------------------------------------------ plain-float and generic routes
-# integrate_orbit runs hamilton_rhs on free() and coulomb() fields in plain
-# floats; the same potentials rebuilt from their public callables take the
-# generic object route, which stays the reference.
+# integrate_orbit runs hamilton_rhs on free() and coulomb() fields through a
+# plain-float right-hand side; the same potentials rebuilt from their public
+# callables go through the generic right-hand side, which stays the reference.
 
 
 @pytest.fixture
-def plain_steps(monkeypatch):
-    """The steps each integrate_orbit call ran on the plain-float route."""
-    steps = []
-    run = dynamics._plain_rk4
+def count_states(monkeypatch):
+    """count_states(call) -> (call(), PhaseState constructions during the call)."""
+    made = []
+    init = PhaseState.__init__
 
-    def spy(*args):
-        result = run(*args)
-        steps.append(result[0])
-        return result
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_plain_rk4", spy)
-    return steps
+    monkeypatch.setattr(PhaseState, "__init__", counting_init)
+
+    def run(call):
+        before = len(made)
+        result = call()
+        return result, len(made) - before
+
+    return run
 
 
 def generic(fields):
@@ -532,13 +537,16 @@ def assert_records_equal_their_functions(traj, st, fields):
     ids=["coulomb", "coulomb-c2.5-tau-every7", "free", "free-origin-c3-tau-every10",
          "zero-steps"],
 )
-def test_plain_route_matches_generic_route(plain_steps, fields, st, dtau, n_steps, record_every):
-    fast = integrate_orbit(st, fields, dtau, n_steps, record_every=record_every)
-    # every step on plain floats, no hand-over: the free orbit from the origin
-    # never divides by |x|
-    assert plain_steps == [n_steps]
-    slow = integrate_orbit(st, generic(fields), dtau, n_steps, record_every=record_every)
-    assert plain_steps == [n_steps]
+def test_plain_route_matches_generic_route(count_states, fields, st, dtau, n_steps,
+                                           record_every):
+    fast, made = count_states(
+        lambda: integrate_orbit(st, fields, dtau, n_steps, record_every=record_every))
+    # every step on plain floats, none redone through the generic right-hand
+    # side: the free orbit from the origin never divides by |x|
+    assert made == 0
+    slow, made = count_states(
+        lambda: integrate_orbit(st, generic(fields), dtau, n_steps, record_every=record_every))
+    assert made == 4 * n_steps  # one state per evaluation, none per record
     np.testing.assert_array_equal(fast.tau, slow.tau)
     records = 1 + n_steps // record_every + (n_steps % record_every != 0)
     assert fast.x.shape == slow.x.shape == (records, 3)
@@ -568,24 +576,26 @@ def digest(traj):
 
 
 @pytest.mark.parametrize(
-    "run, expected",
+    "st, fields, dtau, n_steps, options, expected",
     [
-        (lambda: integrate_orbit(PhaseState([1.05, 0, 0], [0.0, 0.1, 0.0], m=1.0), COULOMB,
-                                 0.002, 500, rhs=approximate_rhs), "0d16bd51a02b1263"),
-        (lambda: integrate_orbit(
-            PhaseState([2.0, 0.3, 0.1], [0.1, 0.5, 0.05], m=1.3, e=0.8),
-            dataclasses.replace(COULOMB, vector=lambda x: 0.35 * np.array([-x[1], x[0], 0.0])),
-            0.01, 200, record_every=3), "e8db62beec3c88a0"),
-        (lambda: integrate_orbit(PhaseState([25.0, 0, 0], [0.0, 0.2, 0.0], m=1.0, tau=3.0),
-                                 generic(COULOMB), 0.25, 400, record_every=7), "b686269c2adc8cb6"),
+        (PhaseState([1.05, 0, 0], [0.0, 0.1, 0.0], m=1.0), COULOMB, 0.002, 500,
+         {"rhs": approximate_rhs}, "0d16bd51a02b1263"),
+        (PhaseState([2.0, 0.3, 0.1], [0.1, 0.5, 0.05], m=1.3, e=0.8),
+         dataclasses.replace(COULOMB, vector=lambda x: 0.35 * np.array([-x[1], x[0], 0.0])),
+         0.01, 200, {"record_every": 3}, "e8db62beec3c88a0"),
+        (PhaseState([25.0, 0, 0], [0.0, 0.2, 0.0], m=1.0, tau=3.0), generic(COULOMB), 0.25, 400,
+         {"record_every": 7}, "b686269c2adc8cb6"),
     ],
     ids=["approximate-rhs", "replaced-with-vector", "hand-built"],
 )
-def test_other_orbits_take_the_unchanged_generic_route(plain_steps, run, expected):
+def test_other_orbits_take_the_unchanged_generic_route(count_states, st, fields, dtau, n_steps,
+                                                       options, expected):
     # the digests are of the object route's output from before the plain-float
-    # route existed: these orbits still take it, and it still gives the same bits
-    assert digest(run()) == expected
-    assert plain_steps == []
+    # route existed: these orbits go through the generic right-hand side, and
+    # it still gives the same bits
+    traj, made = count_states(lambda: integrate_orbit(st, fields, dtau, n_steps, **options))
+    assert digest(traj) == expected
+    assert made == 4 * n_steps
 
 
 @pytest.mark.parametrize("name, value", [
@@ -593,45 +603,71 @@ def test_other_orbits_take_the_unchanged_generic_route(plain_steps, run, expecte
     ("scalar", lambda x: -2.0 / math.sqrt(x @ x)),
     ("grad_scalar", lambda x: 2.0 * x / math.sqrt(x @ x) ** 3),
 ], ids=["vector", "scalar", "grad_scalar"])
-def test_fields_changed_in_place_take_the_generic_route(plain_steps, name, value):
-    # the plain right-hand side is coulomb(1)'s; once a field is assigned it no longer is
+def test_fields_cannot_change_in_place(count_states, name, value):
+    # the plain right-hand side is coulomb(1)'s: a field can only change in a
+    # copy, and replace() leaves the plain right-hand side behind
     fields = FieldConfiguration.coulomb(1.0)
-    setattr(fields, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fields, name, value)
     st = PhaseState([2.0, 0.3, 0.1], [0.1, 0.5, 0.05], m=1.3, e=0.8)
-    expected = dataclasses.replace(fields)  # the same callables, no plain right-hand side
-    got = integrate_orbit(st, fields, 0.01, 50)
-    assert plain_steps == []
-    assert digest(got) == digest(integrate_orbit(st, expected, 0.01, 50))
+    _, made = count_states(
+        lambda: integrate_orbit(st, dataclasses.replace(fields, **{name: value}), 0.01, 50))
+    assert made == 4 * 50
 
 
 ORIGIN = PhaseState([0.0, 0.0, 0.0], [0.1, 0.0, 0.0], m=1.0)
+VECTOR = dataclasses.replace(FREE, vector=lambda x: 0.35 * np.array([-x[1], x[0], 0.0]))
 
 
-@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+def abort(step):
+    return IntegrationAbort, step
+
+
+# each orbit's end under np.errstate ignore, warn and raise, recorded from the
+# array loop that integrate_orbit ran before its single six-scalar loop: the
+# exception type and IntegrationAbort step, or the digest of a finished orbit
+@pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
 @pytest.mark.parametrize(
-    "fields, st, dtau, n_steps",
+    "fields, st, dtau, n_steps, rhs, ends",
     [
-        (COULOMB, ORIGIN, 0.1, 5),  # V divides by |x| = 0 in the first record
-        (COULOMB, PhaseState([1e-100, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5),  # p overflows
-        (COULOMB, PhaseState([1e-30, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5),  # r**3 overflows
-        (COULOMB, PhaseState([1e200, 0, 0], [0.0, 1.0, 0.0], m=1.0), 0.1, 5),  # x.x overflows
-        (FREE, PhaseState([1e308, 0, 0], [1.0, 0.0, 0.0], m=1.0), 1e307, 20),  # x at step 7
-        # the float route's finiteness test sums x and p, which overflows at
-        # step 9; the generic route takes over there and finishes the orbit
-        (FREE, PhaseState([8e307, 8e307, 0], [1.0, 1.0, 0.0], m=1.0), 1e306, 20),
+        # V divides by |x| = 0 in the first record
+        (COULOMB, ORIGIN, 0.1, 5, hamilton_rhs, [(ZeroDivisionError, None)] * 3),
+        # p overflows
+        (COULOMB, PhaseState([1e-100, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
+         [abort(0), (RuntimeWarning, None), abort(0)]),
+        # r**3 overflows
+        (COULOMB, PhaseState([1e-30, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
+         [(OverflowError, None)] * 3),
+        # x.x overflows
+        (COULOMB, PhaseState([1e200, 0, 0], [0.0, 1.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
+         ["9ea30f19c83f4dfb", (RuntimeWarning, None), (FloatingPointError, None)]),
+        # x overflows at step 7
+        (FREE, PhaseState([1e308, 0, 0], [1.0, 0.0, 0.0], m=1.0), 1e307, 20, hamilton_rhs,
+         [abort(7), (RuntimeWarning, None), abort(7)]),
+        # the plain-float finiteness test sums x and p, which overflows at step
+        # 9; the generic right-hand side redoes that step and finishes the orbit
+        (FREE, PhaseState([8e307, 8e307, 0], [1.0, 1.0, 0.0], m=1.0), 1e306, 20, hamilton_rhs,
+         ["91a76f41da377f87"] * 3),
+        # p overflows in the weak-coupling force
+        (COULOMB, PhaseState([1e-100, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5, approximate_rhs,
+         ["1d7e52e880fa3fc3", (RuntimeWarning, None), abort(0)]),
+        # pi.pi overflows at step 1 in a uniform magnetic field
+        (VECTOR, PhaseState([3.0, 0, 0], [0.0, 1e152, 0.0], m=1.0, e=0.8), 10.0, 20,
+         hamilton_rhs, [abort(1), (RuntimeWarning, None), abort(1)]),
     ],
     ids=["origin", "momentum-overflow", "radius-cubed", "far", "free-position-overflow",
-         "hand-over-midway"],
+         "hand-over-midway", "approximate-rhs", "vector"],
 )
-def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, errstate):
+def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, rhs, ends, errstate):
     def outcome(conf):
         try:
-            with np.errstate(all=errstate):
-                return "finished", digest(integrate_orbit(st, conf, dtau, n_steps))
+            # under "warn" the first RuntimeWarning ends the orbit
+            with np.errstate(all=errstate), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return digest(integrate_orbit(st, conf, dtau, n_steps, rhs=rhs))
         except Exception as exc:  # the exception itself is what is compared
-            return type(exc), str(exc)
+            return type(exc), getattr(exc, "step", None)
 
-    fast = outcome(fields)
-    assert fast == outcome(generic(fields))
-    if st is ORIGIN:  # a plain ZeroDivisionError stays one, not a pole or an abort
-        assert fast[0] is ZeroDivisionError
+    expected = ends[["ignore", "warn", "raise"].index(errstate)]
+    # replace() keeps every callable and drops the plain-float right-hand side
+    assert outcome(fields) == outcome(dataclasses.replace(fields)) == expected
