@@ -168,17 +168,19 @@ class ResultTable:
         return out
 
     def write(self, path: str) -> None:
-        # atomic: never leave a half-written table behind
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        # atomic: never leave a half-written table behind; an error names
+        # ``path``, not the temporary file beside it
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(self.lines()) + "\n")
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
 
 
 def scenario_redshift(p: dict, units: UnitSystem, seed: int) -> ResultTable:

@@ -203,28 +203,35 @@ def per_particle_speeds(sys: ParticleSystem):
 
 
 def phase_gradient(f: Callable, sys: ParticleSystem):
-    """(df/dx, df/dp) by central differences, step 1e-5 (1 + |q|) per coordinate q."""
+    """(df/dx, df/dp) by central differences, step 1e-5 (1 + |q|) per coordinate q.
+
+    An array-valued ``f`` gives gradients of shape ``f``'s shape + (n, 3).
+    """
     xs, ps = sys.xs, sys.ps
-    gx = np.zeros_like(xs)
-    gp = np.zeros_like(ps)
+    gx, gp = [], []
     for i in range(sys.n):
         for a in range(3):
             hx = _FD_H * (1.0 + abs(xs[i, a]))
             xp = xs.copy(); xp[i, a] += hx
             xm = xs.copy(); xm[i, a] -= hx
-            gx[i, a] = (f(xp, ps) - f(xm, ps)) / (2.0 * hx)
+            gx.append((f(xp, ps) - f(xm, ps)) / (2.0 * hx))
             hp = _FD_H * (1.0 + abs(ps[i, a]))
             pp = ps.copy(); pp[i, a] += hp
             pm = ps.copy(); pm[i, a] -= hp
-            gp[i, a] = (f(xs, pp) - f(xs, pm)) / (2.0 * hp)
-    return gx, gp
+            gp.append((f(xs, pp) - f(xs, pm)) / (2.0 * hp))
+    # rows run over the 3n coordinates: move them last and split them (n, 3)
+    return tuple(
+        np.moveaxis(np.asarray(g), 0, -1).reshape(np.shape(g[0]) + xs.shape) for g in (gx, gp)
+    )
 
 
-def _bracket(grad_f, grad_g) -> float:
-    """{f, g} from the phase gradients (df/dx, df/dp) and (dg/dx, dg/dp)."""
+def _bracket(grad_f, grad_g):
+    """{f, g} from the phase gradients (df/dx, df/dp) and (dg/dx, dg/dp);
+    for array-valued f and g, entry [i..., j...] is {f_i..., g_j...}."""
     fx, fp = grad_f
     gx, gp = grad_g
-    return float(np.sum(fx * gp) - np.sum(fp * gx))
+    axes = ([-2, -1], [-2, -1])
+    return np.tensordot(fx, gp, axes) - np.tensordot(fp, gx, axes)
 
 
 def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
@@ -232,10 +239,11 @@ def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
 
     ``f`` and ``g`` are scalar observables of the phase arrays (xs, ps).
     """
-    return _bracket(phase_gradient(f, sys), phase_gradient(g, sys))
+    return float(_bracket(phase_gradient(f, sys), phase_gradient(g, sys)))
 
 
 def _observable_table(sys: ParticleSystem):
+    """H, M, K and the 3-vectors P, J, L as functions of (xs, ps)."""
     c = sys.units.c
 
     def H(xs, ps):
@@ -252,14 +260,14 @@ def _observable_table(sys: ParticleSystem):
     def K(xs, ps):
         return float(H(xs, ps) ** 2 / (2.0 * rest) + rest / 2.0)
 
-    obs = {"H": H, "M": lambda xs, ps: Mc2(xs, ps) / c**2, "K": K}
-    for a in range(3):
-        obs[f"P{a}"] = lambda xs, ps, a=a: float(np.sum(ps[:, a]))
-        obs[f"J{a}"] = lambda xs, ps, a=a: float(np.sum(np.cross(xs, ps)[:, a]))
-        obs[f"L{a}"] = lambda xs, ps, a=a: float(
-            np.sum(sys.particle_energies(ps) * xs[:, a]) / c**2
-        )
-    return obs
+    return {
+        "H": H,
+        "M": lambda xs, ps: Mc2(xs, ps) / c**2,
+        "K": K,
+        "P": lambda xs, ps: np.sum(ps, axis=0),
+        "J": lambda xs, ps: np.sum(np.cross(xs, ps), axis=0),
+        "L": lambda xs, ps: sys.particle_energies(ps) @ xs / c**2,
+    }
 
 
 def verify_algebra(sys: ParticleSystem) -> dict:
@@ -270,50 +278,34 @@ def verify_algebra(sys: ParticleSystem) -> dict:
     """
     sys.require_free("verify_algebra")
     c = sys.units.c
-    obs = _observable_table(sys)
-    grads = {name: phase_gradient(fn, sys) for name, fn in obs.items()}
+    grads = {name: phase_gradient(fn, sys) for name, fn in _observable_table(sys).items()}
 
-    def bracket(fa: str, fb: str) -> float:
+    def bracket(fa: str, fb: str) -> np.ndarray:
         return _bracket(grads[fa], grads[fb])
 
     inv = system_invariants(sys)
     eps = np.zeros((3, 3, 3))
     eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
     eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-
-    res: dict[str, float] = {}
-
-    def track(family: str, value: float):
-        res[family] = max(res.get(family, 0.0), abs(value))
-
-    for i in range(3):
-        for j in range(3):
-            track("{P_i,P_j}", bracket(f"P{i}", f"P{j}"))
-            track("{J_i,P_j}-eps_ijk P_k", bracket(f"J{i}", f"P{j}") - eps[i, j] @ inv.P)
-            track("{J_i,J_j}-eps_ijk J_k", bracket(f"J{i}", f"J{j}") - eps[i, j] @ inv.J)
-            track("{J_i,L_j}-eps_ijk L_k", bracket(f"J{i}", f"L{j}") - eps[i, j] @ inv.L)
-            track(
-                "{P_i,L_j}+delta_ij H/c^2",
-                bracket(f"P{i}", f"L{j}") + (inv.H / c**2 if i == j else 0.0),
-            )
-            track(
-                "{L_i,L_j}+eps_ijk J_k/c^2",
-                bracket(f"L{i}", f"L{j}") + (eps[i, j] @ inv.J) / c**2,
-            )
-    for i in range(3):
-        track("{H,P_i}", bracket("H", f"P{i}"))
-        track("{H,J_i}", bracket("H", f"J{i}"))
-        track("{K,P_i}", bracket("K", f"P{i}"))
-        track("{K,J_i}", bracket("K", f"J{i}"))
-        track(
-            "{K,L_i}+H P_i/(M c^2)",
-            bracket("K", f"L{i}") + inv.H * inv.P[i] / (inv.M * c**2),
-        )
-        track("{M,P_i}", bracket("M", f"P{i}"))
-        track("{M,J_i}", bracket("M", f"J{i}"))
-        track("{M,L_i}", bracket("M", f"L{i}"))
-    track("{M,H}", bracket("M", "H"))
-    res["max"] = max(v for k, v in res.items() if k != "max")
+    families = {
+        "{P_i,P_j}": bracket("P", "P"),
+        "{J_i,P_j}-eps_ijk P_k": bracket("J", "P") - eps @ inv.P,
+        "{J_i,J_j}-eps_ijk J_k": bracket("J", "J") - eps @ inv.J,
+        "{J_i,L_j}-eps_ijk L_k": bracket("J", "L") - eps @ inv.L,
+        "{P_i,L_j}+delta_ij H/c^2": bracket("P", "L") + np.eye(3) * inv.H / c**2,
+        "{L_i,L_j}+eps_ijk J_k/c^2": bracket("L", "L") + (eps @ inv.J) / c**2,
+        "{H,P_i}": bracket("H", "P"),
+        "{H,J_i}": bracket("H", "J"),
+        "{K,P_i}": bracket("K", "P"),
+        "{K,J_i}": bracket("K", "J"),
+        "{K,L_i}+H P_i/(M c^2)": bracket("K", "L") + inv.H * inv.P / (inv.M * c**2),
+        "{M,P_i}": bracket("M", "P"),
+        "{M,J_i}": bracket("M", "J"),
+        "{M,L_i}": bracket("M", "L"),
+        "{M,H}": bracket("M", "H"),
+    }
+    res = {name: float(np.max(np.abs(r))) for name, r in families.items()}
+    res["max"] = max(res.values())
     return res
 
 
@@ -447,16 +439,10 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
     one.
     """
     sys.require_free("evolve_observable")
-    c = sys.units.c
-    ratios = clock_ratio(np.arange(sys.n), sys)
-    grad_w = phase_gradient(W, sys)
-    total = 0.0
-    for i in range(sys.n):
-        m_i = sys.masses[i]
+    c, m = sys.units.c, sys.masses
 
-        def K_i(xs, ps, i=i, m_i=m_i):
-            h_i = np.sqrt(c**2 * (ps[i] @ ps[i]) + m_i**2 * c**4)
-            return float(h_i**2 / (2.0 * m_i * c**2) + m_i * c**2 / 2.0)
+    def K_each(xs, ps):
+        return sys.particle_energies(ps) ** 2 / (2.0 * m * c**2) + m * c**2 / 2.0
 
-        total += ratios[i] * _bracket(grad_w, phase_gradient(K_i, sys))
-    return float(total)
+    rates = _bracket(phase_gradient(W, sys), phase_gradient(K_each, sys))
+    return float(clock_ratio(np.arange(sys.n), sys) @ rates)

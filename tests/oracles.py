@@ -1,9 +1,11 @@
 """Independent reference implementations used only as test oracles.
 
 Nothing in here may call into the library's own transform/field/operator
-code paths; these are the second routes of the dual-route checks.  The one
-exception, :func:`radial_infall`, is no oracle: it caches a library run that
-two tests read.
+code paths; these are the second routes of the dual-route checks.  Two
+exceptions: :func:`bracket_by_components` builds a vector bracket from the
+library's scalar ``poisson_bracket``, one component pair at a time, and
+:func:`radial_infall` is no oracle: it caches a library run that two tests
+read.
 """
 
 import functools
@@ -179,6 +181,27 @@ def sqrt_table_adaptive(params, n, spacing):
     # symmetrize across the periodic seam (exactly self-adjoint table)
     idx = (-np.arange(n)) % n
     return 0.5 * (table + table[idx])
+
+
+def bracket_by_components(F, G, sys):
+    """{F_i, G_j} for array-valued observables F and G, entry by entry.
+
+    Each component pair goes through the scalar ``poisson_bracket``, so the
+    table is assembled from one scalar bracket per entry; a scalar F or G
+    contributes no axis.
+    """
+    from propertime.many import poisson_bracket
+
+    def component(f, index):
+        return lambda xs, ps: float(np.asarray(f(xs, ps))[index])
+
+    shape_f = np.shape(F(sys.xs, sys.ps))
+    shape_g = np.shape(G(sys.xs, sys.ps))
+    out = np.empty(shape_f + shape_g)
+    for i in np.ndindex(shape_f):
+        for j in np.ndindex(shape_g):
+            out[i + j] = poisson_bracket(component(F, i), component(G, j), sys)
+    return out
 
 
 @functools.cache

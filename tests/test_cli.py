@@ -229,6 +229,22 @@ def test_verify_check_names_fit_one_csv_cell():
     assert all("," not in check.name for check in verify.run_all())
 
 
+@pytest.mark.parametrize("command", ["redshift", "verify"])
+def test_missing_out_directory_named_in_one_line(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(verify, "run_all", lambda: [Check("stub: only", 0.5, 1.0)])
+    monkeypatch.chdir(tmp_path)
+    out = os.path.join("missing", "x.csv")
+    argv = [command, "--out", out]
+    if command == "redshift":
+        cfg = write_config(tmp_path, "red.json", {"scenario": "redshift", "u": [0.6, 0, 0]})
+        argv += ["--config", cfg]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert repr(out) in err[0] and ".tmp" not in err[0]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_all", lambda: [Check("stub: only", 0.5, 1.0)])
     out = tmp_path / "missing_dir" / "checks.csv"
