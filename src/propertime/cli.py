@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -485,7 +486,9 @@ def _run_verify(out: Optional[str]) -> int:
     return 0 if ok else 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ptcli argument parser, built on the first call of main."""
     parser = argparse.ArgumentParser(
         prog="ptcli",
         description="Proper-time electrodynamics scenario runner",
@@ -500,7 +503,11 @@ def main(argv=None) -> int:
                             help="path to a JSON scenario config (repeatable)")
             sp.add_argument("--units", choices=["natural", "si"], default=None,
                             help="override the config's unit system")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     command = args.command.replace("-", "_")
     if command == "verify":
         return _run_verify(args.out)

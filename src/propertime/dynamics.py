@@ -60,6 +60,11 @@ _POLE_TOL = 1e-14
 _FD_STEP = 1e-6
 
 
+def _row_dots(v: np.ndarray) -> np.ndarray:
+    """v[i] @ v[i] for every row, each by the same BLAS dot as that product."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _curl(jac: np.ndarray) -> np.ndarray:
     """curl A from the Jacobian jac[i, j] = dA_i/dx_j."""
     return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
@@ -79,10 +84,11 @@ class FieldConfiguration:
     grad_scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     curl_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # make(m, c) from free() and coulomb(): hamilton_rhs on six floats for
-    # their scalar and gradient with A absent.  replace() and hand-built
-    # configurations drop it (see integrate_orbit).
+    # From free() and coulomb(): make(m, c), hamilton_rhs on six floats with A
+    # absent, and V over the rows of an (n, 3) array.  replace() and
+    # hand-built configurations drop both (see integrate_orbit).
     _plain_rhs: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    _array_V: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def V(self, x) -> float:
         return float(self.scalar(_vec(x)))
@@ -127,6 +133,7 @@ class FieldConfiguration:
     def free(cls) -> "FieldConfiguration":
         conf = cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
         object.__setattr__(conf, "_plain_rhs", _free_plain_rhs)
+        object.__setattr__(conf, "_array_V", lambda x: np.zeros(len(x)))
         return conf
 
     @classmethod
@@ -141,6 +148,7 @@ class FieldConfiguration:
 
         conf = cls(scalar=V, grad_scalar=grad)
         object.__setattr__(conf, "_plain_rhs", functools.partial(_coulomb_plain_rhs, strength))
+        object.__setattr__(conf, "_array_V", lambda x: -strength / np.sqrt(_row_dots(x)))
         return conf
 
 
@@ -182,17 +190,15 @@ def _energies(x: np.ndarray, pi: np.ndarray, m: float, c: float, fields: FieldCo
 
 def _generator_values(state: PhaseState, fields: FieldConfiguration):
     """(K, H, b) from one evaluation."""
-    return _generator_values_at(state.x, kinetic_momentum(state, fields), state.m, state.units.c, fields)
+    m, c, pi = state.m, state.units.c, kinetic_momentum(state, fields)
+    return _generator_values_at(*_energies(state.x, pi, m, c, fields), m, c)
 
 
-def _generator_values_at(x: np.ndarray, pi: np.ndarray, m: float, c: float,
-                         fields: FieldConfiguration):
-    """(K, H, b) at position x and kinetic momentum pi, K in its expanded form
-    (see canonical_K).  integrate_orbit's records come from here, so they
-    equal canonical_K, hamiltonian_H and b_kinetic."""
-    pp, H0, V = _energies(x, pi, m, c, fields)
-    K = pp / (2.0 * m) + m * c**2 + V**2 / (2.0 * m * c**2) + V * H0 / (m * c**2)
-    return float(K), H0 + V, H0 / (m * c)
+def _generator_values_at(pp, H0, V, m: float, c: float):
+    """(K, H, b) from pi.pi, H0 and V: floats, or arrays over integrate_orbit's records.
+    K in its expanded form (see canonical_K).  V * V: a float's V**2 calls pow."""
+    K = pp / (2.0 * m) + m * c**2 + V * V / (2.0 * m * c**2) + V * H0 / (m * c**2)
+    return K, H0 + V, H0 / (m * c)
 
 
 def h_zero(state: PhaseState, fields: FieldConfiguration) -> float:
@@ -212,7 +218,7 @@ def b_kinetic(state: PhaseState, fields: FieldConfiguration) -> float:
 
 def canonical_K(state: PhaseState, fields: FieldConfiguration) -> float:
     """K = pi^2/2m + mc^2 + V^2/(2mc^2) + V H0/(mc^2) = H^2/(2mc^2) + mc^2/2."""
-    return _generator_values(state, fields)[0]
+    return float(_generator_values(state, fields)[0])
 
 
 def _renorm_factor(H0: float, V: float) -> float:
@@ -401,7 +407,9 @@ def integrate_orbit(
     :meth:`FieldConfiguration.coulomb` runs on plain floats; x and p then
     differ from the generic route only by the rounding of two dot products.
     Any other ``rhs`` is called on a :class:`PhaseState` and returns numpy
-    scalars, so numpy's ``errstate`` covers the whole step.
+    scalars, so numpy's ``errstate`` covers the whole step.  With A absent,
+    those two fields take K, H and b of all records from one array pass;
+    other fields, and a pass that would warn or raise, go row by row.
     """
     if not dtau > 0.0:
         raise DomainError(f"dtau must be positive, got {dtau}")
@@ -411,12 +419,33 @@ def integrate_orbit(
         raise DomainError(f"record_every must be at least 1, got {record_every}")
     m, e, units = state0.m, state0.e, state0.units
     c = units.c
-    rows = []  # (tau, x, p, K, H, b) per record
+    array_V = fields._array_V if fields.vector is None else None
+    taus, xps, rows = [], [], []  # per record: tau, x and p as six floats, (K, H, b)
 
-    def record(tau, x, p):
+    def values(x, p):  # (K, H, b) of one record, as canonical_K etc. take it
         # with A absent pi is p up to the signs of zeros, which pi @ pi ignores
         pi = p if fields.vector is None else p - (e / c) * fields.A(x)
-        rows.append((tau, x, p, *_generator_values_at(x, pi, m, c, fields)))
+        return _generator_values_at(*_energies(x, pi, m, c, fields), m, c)
+
+    def record(tau, *xp):
+        taus.append(tau)
+        xps.extend(xp)
+        if array_V is None:
+            rows.append(values(*np.array(xp).reshape(2, 3)))
+
+    def trajectory():
+        x, p = np.fromiter(xps, float).reshape(-1, 2, 3).swapaxes(0, 1).copy()
+        columns = zip(*rows)
+        if array_V is not None:
+            try:
+                with np.errstate(all="raise"):
+                    pp = _row_dots(p)
+                    H0 = np.sqrt(c**2 * pp + m**2 * c**4)
+                    columns = _generator_values_at(pp, H0, array_V(x), m, c)
+            except ArithmeticError:  # row by row, under the caller's errstate
+                columns = zip(*map(values, x, p))
+        K, H, b = map(np.array, columns)
+        return OrbitTrajectory(tau=np.array(taus), x=x, p=p, K=K, H=H, b=b)
 
     def generic(x0, x1, x2, p0, p1, p2):
         st = PhaseState(x=np.array((x0, x1, x2)), p=np.array((p0, p1, p2)), m=m, e=e, units=units)
@@ -430,51 +459,52 @@ def integrate_orbit(
             f = fields._plain_rhs(float(m), float(c))
         except ArithmeticError:  # m or c beyond the float range of m**2 c**4
             pass
-    record(state0.tau, state0.x, state0.p)
-    x0, x1, x2 = state0.x.tolist()
-    p0, p1, p2 = state0.p.tolist()
+    x0, x1, x2, p0, p1, p2 = *state0.x.tolist(), *state0.p.tolist()
+    record(state0.tau, x0, x1, x2, p0, p1, p2)
     h = float(dtau)
     h2, h6 = 0.5 * h, h / 6.0
     k = 0
-    while k < n_steps:
-        try:
-            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
-            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
-                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
-                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
-            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
-                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
-                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
-            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
-                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
-                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
-        except ArithmeticError as exc:
-            if f is not generic:  # redo the step through the generic right-hand side
+    try:
+        while k < n_steps:
+            try:
+                k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
+                k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
+                    x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
+                    p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
+                k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
+                    x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
+                    p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
+                k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
+                    x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
+                    p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
+            except ArithmeticError as exc:
+                if f is not generic:  # redo the step through the generic right-hand side
+                    f = generic
+                    continue
+                if isinstance(exc, (RenormalizationPoleError, FloatingPointError)):
+                    raise IntegrationAbort(k, str(exc)) from exc
+                raise
+            nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
+            nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
+            nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
+            np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
+            np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
+            np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
+            if f is generic:
+                # one component at a time: their sum can overflow while each is finite
+                if not all(map(math.isfinite, (nx0, nx1, nx2, np0, np1, np2))):
+                    raise IntegrationAbort(k, "state overflowed")
+            elif not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
                 f = generic
                 continue
-            if isinstance(exc, (RenormalizationPoleError, FloatingPointError)):
-                raise IntegrationAbort(k, str(exc)) from exc
-            raise
-        nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
-        nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
-        nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
-        np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
-        np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
-        np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
-        if f is generic:
-            # one component at a time: their sum can overflow while each is finite
-            if not all(map(math.isfinite, (nx0, nx1, nx2, np0, np1, np2))):
-                raise IntegrationAbort(k, "state overflowed")
-        elif not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
-            f = generic
-            continue
-        x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
-        k += 1
-        if k % record_every == 0 or k == n_steps:
-            xp = np.array((x0, x1, x2, p0, p1, p2))
-            record(state0.tau + k * dtau, xp[:3], xp[3:])
-    tau, x, p, K, H, b = (np.array(column) for column in zip(*rows))
-    return OrbitTrajectory(tau=tau, x=x, p=p, K=K, H=H, b=b)
+            x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
+            k += 1
+            if k % record_every == 0 or k == n_steps:
+                record(state0.tau + k * dtau, x0, x1, x2, p0, p1, p2)
+    except Exception:
+        trajectory()  # the records made so far: one that raises goes first
+        raise
+    return trajectory()
 
 
 def metric_deformation(state: PhaseState, fields: FieldConfiguration) -> float:

@@ -35,6 +35,15 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def run_fresh(*args):
+    """python -m propertime.cli in a fresh interpreter on this checkout's src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "propertime.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestRedshift:
     def test_rest(self):
         assert redshift_z(w=np.zeros(3)).z == 0.0
@@ -193,11 +202,7 @@ class TestConfigValidation:
     def test_overflow_exits_3_with_one_line(self, tmp_path, payload):
         # a fresh interpreter, so stderr is what a user sees: no numpy warnings
         path = write_config(tmp_path, "big.json", payload)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "propertime.cli", payload["scenario"],
-                               "--config", path], capture_output=True, text=True, env=env)
+        proc = run_fresh(payload["scenario"], "--config", path)
         assert proc.returncode == 3
         assert "RuntimeWarning" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
@@ -513,6 +518,24 @@ class TestMainEntry:
         assert main(["redshift", "--config", cfgs[0], "--config", cfgs[1], "--out", str(out)]) == 2
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_second_main_call_matches_a_fresh_process(tmp_path, capsys):
+    # main builds its parser once per process: later calls with another
+    # subcommand and other options print and write what a fresh process does
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    orbit, redshift = (os.path.join(golden, f"{name}.json") for name in ("orbit", "redshift"))
+    assert main(["orbit", "--config", orbit, "--out", str(tmp_path / "a.csv")]) == 0
+    capsys.readouterr()
+    assert main(["redshift", "--config", redshift, "--units", "si"]) == 0
+    second = capsys.readouterr()
+    assert main(["orbit", "--config", orbit, "--out", str(tmp_path / "b.csv")]) == 0
+    expected = run_fresh("redshift", "--config", redshift, "--units", "si")
+    assert (0, second.out, second.err) == (expected.returncode, expected.stdout, expected.stderr)
+    assert second.out and not second.err
+    assert run_fresh("orbit", "--config", orbit, "--out", str(tmp_path / "fresh.csv")).returncode == 0
+    for name in ("a.csv", "b.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_result_table_rectangular_guard():

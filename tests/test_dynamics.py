@@ -568,6 +568,67 @@ def test_free_plain_route_is_the_generic_route_bit_for_bit():
     np.testing.assert_array_equal(fast.p, slow.p)
 
 
+def sweep_orbits(count=320, seed=12):
+    """Seeded free and Coulomb orbits with record_every 1 to 8; the Coulomb
+    ones start 2 to 50 from the centre, some of them falling in close."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, every, n_steps = rng.uniform(0.5, 2.0), int(rng.integers(1, 9)), int(rng.integers(60, 241))
+        direction = rng.normal(size=(2, 3))
+        if i % 3 == 2:
+            st = PhaseState(5.0 * direction[0], direction[1], m=m)
+            yield st, FREE, rng.uniform(0.01, 0.1), n_steps, every
+            continue
+        strength, r = rng.uniform(0.5, 2.0), rng.uniform(2.0, 50.0)
+        speed = math.sqrt(strength / (m * r)) * rng.uniform(0.3, 1.3)
+        period = 2.0 * math.pi * r / speed
+        st = PhaseState(r * direction[0] / np.linalg.norm(direction[0]),
+                        m * speed * direction[1] / np.linalg.norm(direction[1]), m=m)
+        yield (st, FieldConfiguration.coulomb(strength), period * rng.uniform(0.2, 0.6) / n_steps,
+               n_steps, every)
+
+
+def test_records_equal_their_functions_over_many_orbits():
+    # every recorded K, H and b, bit for bit, on 320 orbits: close approaches,
+    # record_every 1 to 8, and a last record off the stride
+    records = 0
+    for st, fields, dtau, n_steps, every in sweep_orbits():
+        traj = integrate_orbit(st, fields, dtau, n_steps, record_every=every)
+        assert_records_equal_their_functions(traj, st, fields)
+        records += traj.tau.size
+    assert records > 9000
+
+
+def test_generator_values_round_alike_on_floats_and_arrays():
+    # the record pass runs the scalar functions' formula on arrays.  About 1 in
+    # 1,200 floats has V**2 != V * V (pow against a product), and near H = 0 the
+    # V**2 term outweighs K, so 50,000 such rows show a formula that rounds apart
+    rng = np.random.default_rng(5)
+    m, c = 1.3, 1.0
+    V = -rng.uniform(0.5, 40.0, 50_000)
+    pp = ((rng.uniform(0.5, 2.0, V.size) - V) ** 2 - m**2 * c**4) / c**2
+    H0 = np.sqrt(c**2 * pp + m**2 * c**4)
+    rows = np.column_stack(dynamics._generator_values_at(pp, H0, V, m, c))
+    for row, args in zip(rows, zip(pp, H0.tolist(), V.tolist())):
+        assert tuple(row) == dynamics._generator_values_at(*args, m, c)
+
+
+def test_records_call_no_scalar_on_free_and_coulomb(count_states):
+    # the array pass evaluates V for all records at once; a replace() copy
+    # drops it and calls the scalar once per record, besides once per
+    # right-hand side on the generic route, which makes one state for each
+    st = PhaseState([3.0, 0.5, 0.0], [0.0, 0.5, 0.1], m=1.2)
+    records = 1 + 90 // 4 + 1
+    for fields in (FieldConfiguration.free(), FieldConfiguration.coulomb(0.8)):
+        calls, scalar = [], fields.scalar
+        object.__setattr__(fields, "scalar", lambda x: calls.append(1) or scalar(x))
+        traj, made = count_states(lambda: integrate_orbit(st, fields, 0.01, 90, record_every=4))
+        assert (traj.tau.size, len(calls), made) == (records, 0, 0)
+        _, made = count_states(
+            lambda: integrate_orbit(st, dataclasses.replace(fields), 0.01, 90, record_every=4))
+        assert (len(calls), made) == (4 * 90 + records, 4 * 90)
+
+
 def digest(traj):
     h = hashlib.sha256()
     for column in (traj.tau, traj.x, traj.p, traj.K, traj.H, traj.b):
