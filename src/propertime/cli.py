@@ -515,7 +515,29 @@ def main(argv=None) -> int:
         print("config error: --out takes one --config; give each config its own 'out' key",
               file=_sys.stderr)
         return 2
-    return max(run_config(path, args.out, args.units, scenario=command) for path in args.config)
+    codes, claimed = [], {}  # claimed: real output path -> the config that writes it
+    for path in args.config:
+        # a second table written to one file would silently replace the first
+        target = _config_out(path, args.units) if len(args.config) > 1 else None
+        real = target and os.path.realpath(target)
+        if real in claimed:
+            print(f"config error: config {path} writes {target!r}, "
+                  f"which config {claimed[real]} already writes", file=_sys.stderr)
+            codes.append(2)
+            continue
+        if real:
+            claimed[real] = path
+        codes.append(run_config(path, args.out, args.units, scenario=command))
+    return max(codes)
+
+
+def _config_out(path: str, units_override: Optional[str]) -> Optional[str]:
+    """The ``out`` key of a config, or None when it has none or does not
+    load (``run_config`` then reports why)."""
+    try:
+        return ScenarioConfig.from_path(path, units_override).out
+    except ConfigError:
+        return None
 
 
 if __name__ == "__main__":

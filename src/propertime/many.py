@@ -17,6 +17,14 @@ orbital remainder :math:`\mathbf{S} = \mathbf{J} - \mathbf{X}_0 \times
 \mathbf{P}`; with these choices the canonical center of mass
 :math:`\mathbf{X}` is conjugate to :math:`\mathbf{P}` and every listed
 bracket of the algebra closes for free systems.
+
+Brackets are taken from phase gradients.  The observables of the algebra
+table are analytic and take leading batch axes, so their gradients come
+exact to rounding from the complex step :math:`\partial f/\partial q =
+\operatorname{Im} f(q + ih)/h`, all 3n directions of x in one evaluation
+and all of p in another.  :func:`phase_gradient` and
+:func:`poisson_bracket` take user callables, which need not accept
+complex input, and keep central differences.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ __all__ = [
     "evolve_observable",
 ]
 
-_FD_H = 1e-5  # relative central-difference step of the bracket gradients
+_FD_H = 1e-5  # relative central-difference step of phase_gradient
+_CS_H = 1e-30  # complex step of the exact table gradients
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ class ParticleSystem:
         """H_i = sqrt(c^2 p_i^2 + m_i^2 c^4), free part only."""
         c = self.units.c
         ps = self.ps if ps is None else ps
-        return np.sqrt(c**2 * np.sum(ps**2, axis=1) + self.masses**2 * c**4)
+        return np.sqrt(c**2 * np.sum(ps**2, axis=-1) + self.masses**2 * c**4)
 
     def total_energy(self) -> float:
         H = float(np.sum(self.particle_energies()))
@@ -206,6 +215,9 @@ def phase_gradient(f: Callable, sys: ParticleSystem):
     """(df/dx, df/dp) by central differences, step 1e-5 (1 + |q|) per coordinate q.
 
     An array-valued ``f`` gives gradients of shape ``f``'s shape + (n, 3).
+    ``f`` may be any real callable, so this route takes 12n evaluations and
+    carries the step's truncation error; the algebra table's observables
+    take the exact complex-step route instead.
     """
     xs, ps = sys.xs, sys.ps
     gx, gp = [], []
@@ -242,31 +254,58 @@ def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
     return float(_bracket(phase_gradient(f, sys), phase_gradient(g, sys)))
 
 
+def _stepped(q: np.ndarray) -> np.ndarray:
+    """q.size complex copies of ``q``; copy k has coordinate k stepped by i h."""
+    z = np.tile(q.astype(complex).ravel(), (q.size, 1))
+    np.fill_diagonal(z.imag, _CS_H)
+    return z.reshape((q.size,) + q.shape)
+
+
+def _exact_gradient(f: Callable, sys: ParticleSystem):
+    """(df/dx, df/dp) exact to rounding, shaped as ``phase_gradient``'s.
+
+    Complex step: df/dq = Im f(q + ih)/h, with no difference of nearby
+    values to lose digits.  ``f`` must be analytic in the phase and take
+    leading batch axes; one call on a (3n, n, 3) stack with each x
+    coordinate stepped in turn gives df/dx, one more gives df/dp.
+    """
+    xs, ps = sys.xs, sys.ps
+    stack = (xs.size,) + xs.shape
+    gx = f(_stepped(xs), np.broadcast_to(ps, stack)).imag
+    gp = f(np.broadcast_to(xs, stack), _stepped(ps)).imag
+    # rows run over the 3n coordinates: move them last and split them (n, 3)
+    return tuple(np.moveaxis(g / _CS_H, 0, -1).reshape(g.shape[1:] + xs.shape) for g in (gx, gp))
+
+
 def _observable_table(sys: ParticleSystem):
-    """H, M, K and the 3-vectors P, J, L as functions of (xs, ps)."""
+    """H, M, K and the 3-vectors P, J, L as functions of (xs, ps).
+
+    Each sums over the particle axis -2, so leading axes of (xs, ps) are a
+    batch, and each is analytic in the phase, so complex steps pass through.
+    """
     c = sys.units.c
 
     def H(xs, ps):
-        return float(np.sum(sys.particle_energies(ps)))
+        return np.sum(sys.particle_energies(ps), axis=-1)
 
     def Mc2(xs, ps):
-        P = np.sum(ps, axis=0)
-        return float(np.sqrt(H(xs, ps) ** 2 - c**2 * (P @ P)))
+        P = np.sum(ps, axis=-2)
+        return np.sqrt(H(xs, ps) ** 2 - c**2 * np.sum(P * P, axis=-1))
 
     # The rest energy entering K is the system's conserved invariant, held
     # at its snapshot value when differentiating (as m is for one particle).
-    rest = Mc2(sys.xs, sys.ps)
+    rest = float(Mc2(sys.xs, sys.ps))
 
     def K(xs, ps):
-        return float(H(xs, ps) ** 2 / (2.0 * rest) + rest / 2.0)
+        return H(xs, ps) ** 2 / (2.0 * rest) + rest / 2.0
 
     return {
         "H": H,
         "M": lambda xs, ps: Mc2(xs, ps) / c**2,
         "K": K,
-        "P": lambda xs, ps: np.sum(ps, axis=0),
-        "J": lambda xs, ps: np.sum(np.cross(xs, ps), axis=0),
-        "L": lambda xs, ps: sys.particle_energies(ps) @ xs / c**2,
+        "P": lambda xs, ps: np.sum(ps, axis=-2),
+        "J": lambda xs, ps: np.sum(np.cross(xs, ps), axis=-2),
+        "L": lambda xs, ps: np.sum(sys.particle_energies(ps)[..., None] * xs, axis=-2) / c**2,
     }
 
 
@@ -278,7 +317,7 @@ def verify_algebra(sys: ParticleSystem) -> dict:
     """
     sys.require_free("verify_algebra")
     c = sys.units.c
-    grads = {name: phase_gradient(fn, sys) for name, fn in _observable_table(sys).items()}
+    grads = {name: _exact_gradient(fn, sys) for name, fn in _observable_table(sys).items()}
 
     def bracket(fa: str, fb: str) -> np.ndarray:
         return _bracket(grads[fa], grads[fb])
@@ -436,7 +475,8 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
 
     K_i = H_i^2/(2 m_i c^2) + m_i c^2/2 is the particle generator on its
     own clock, and the clock ratios chain the local rates to the global
-    one.
+    one.  ``W``'s gradient takes central differences, the K_i's the exact
+    complex step.
     """
     sys.require_free("evolve_observable")
     c, m = sys.units.c, sys.masses
@@ -444,5 +484,5 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
     def K_each(xs, ps):
         return sys.particle_energies(ps) ** 2 / (2.0 * m * c**2) + m * c**2 / 2.0
 
-    rates = _bracket(phase_gradient(W, sys), phase_gradient(K_each, sys))
+    rates = _bracket(phase_gradient(W, sys), _exact_gradient(K_each, sys))
     return float(clock_ratio(np.arange(sys.n), sys) @ rates)

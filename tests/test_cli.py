@@ -519,6 +519,20 @@ class TestMainEntry:
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_configs_writing_one_file_rejected(self, tmp_path, monkeypatch, capsys):
+        # the second config names the first one's file by another path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        first = write_config(tmp_path, "a.json",
+                             {"scenario": "redshift", "w": [0.1, 0.0, 0.0], "out": "same.csv"})
+        second = write_config(tmp_path, "b.json", {"scenario": "redshift", "w": [0.2, 0.0, 0.0],
+                                                   "out": os.path.join("sub", os.pardir, "same.csv")})
+        assert main(["redshift", "--config", first, "--config", second]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "same.csv" in err[0]
+        assert run_config(first, out=str(tmp_path / "alone.csv")) == 0
+        assert (tmp_path / "same.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
 
 def test_second_main_call_matches_a_fresh_process(tmp_path, capsys):
     # main builds its parser once per process: later calls with another

@@ -200,7 +200,67 @@ class TestVectorBrackets:
 
         monkeypatch.setattr(many, "_observable_table", counted)
         verify_algebra(sys)
-        assert len(calls) <= 72 * n + 6
+        # one batched call per observable for all x directions, one for all p
+        assert len(calls) == 12
+
+
+def fd_tolerance(f, sys):
+    """Error of ``phase_gradient``'s central differences on ``f``.
+
+    At step h = 1e-5 (1 + |q|) they round off about eps |f| / h = 2e-11 |f|;
+    1e-9 |f| leaves room for the cancellation inside M.
+    """
+    return 1e-9 * max(1.0, float(np.max(np.abs(f(sys.xs, sys.ps)))))
+
+
+def gradient_l1(grad):
+    """Largest sum of |df/dq| over the 6n coordinates, over f's components."""
+    gx, gp = grad
+    return float(np.max(np.sum(np.abs(gx) + np.abs(gp), axis=(-2, -1))))
+
+
+class TestExactGradients:
+    """The complex-step table gradients against the finite-difference routes."""
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_table_gradients_within_finite_difference_error(self, n):
+        sys = ParticleSystem.random(n, np.random.default_rng(n))
+        for name, f in _observable_table(sys).items():
+            exact = many._exact_gradient(f, sys)
+            fd = many.phase_gradient(f, sys)
+            for e, d in zip(exact, fd):
+                assert e.shape == d.shape and e.dtype == float, name
+                assert np.max(np.abs(e - d)) <= fd_tolerance(f, sys), name
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_brackets_within_finite_difference_error(self, n):
+        sys = ParticleSystem.random(n, np.random.default_rng(10 + n))
+        table = _observable_table(sys)
+        grads = {name: many._exact_gradient(f, sys) for name, f in table.items()}
+        for a, F in table.items():
+            for b, G in table.items():
+                ref = bracket_by_components(F, G, sys)
+                got = many._bracket(grads[a], grads[b])
+                # each finite-difference gradient's error, carried through the sum
+                tol = fd_tolerance(F, sys) * gradient_l1(grads[b]) + fd_tolerance(
+                    G, sys
+                ) * gradient_l1(grads[a])
+                assert got.shape == ref.shape, (a, b)
+                assert np.max(np.abs(got - ref), initial=0.0) <= tol, (a, b)
+
+    def test_thirty_particles_close_to_rounding(self):
+        # central differences leave about 1e-8 here
+        sys = ParticleSystem.random(30, np.random.default_rng(30))
+        assert verify_algebra(sys)["max"] < 1e-12
+
+    def test_batch_of_phases_gives_one_value_each(self):
+        sys = ParticleSystem.random(3, np.random.default_rng(3))
+        xs = np.stack([sys.xs, 2.0 * sys.xs])
+        ps = np.stack([sys.ps, -sys.ps])
+        for name, f in _observable_table(sys).items():
+            batch = f(xs, ps)
+            for k in range(2):
+                assert np.allclose(batch[k], f(xs[k], ps[k]), rtol=1e-14, atol=0.0), name
 
 
 class TestAlgebra:
@@ -366,15 +426,21 @@ class TestEvolveObservable:
         assert evolve_observable(W, sys) == pytest.approx(expected, abs=1e-8)
 
     def test_observable_gradient_taken_once(self, monkeypatch):
-        # one gradient of W and one of the vector of all particle generators K_i
+        # one gradient of W by finite differences and one of the vector of
+        # all particle generators K_i by complex step
         sys = ParticleSystem.random(5, RNG)
         calls = []
-        gradient = many.phase_gradient
 
-        def counted(f, system):
-            calls.append(f)
-            return gradient(f, system)
+        def counted(route):
+            gradient = getattr(many, route)
 
-        monkeypatch.setattr(many, "phase_gradient", counted)
+            def wrapped(f, system):
+                calls.append(route)
+                return gradient(f, system)
+
+            return wrapped
+
+        for route in ("phase_gradient", "_exact_gradient"):
+            monkeypatch.setattr(many, route, counted(route))
         evolve_observable(lambda xs, ps: float(xs[0] @ ps[-1]), sys)
-        assert len(calls) == 2
+        assert sorted(calls) == ["_exact_gradient", "phase_gradient"]
