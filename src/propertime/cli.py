@@ -135,37 +135,55 @@ class ScenarioConfig:
         return cls.from_mapping(data, units_override)
 
 
+# every numeric cell and metadata value: format(float(v), ".17g"), which for
+# a bool or an int up to 2**53 in magnitude is the digits of str(int(v))
+_NUMBER = "%.17g"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, str):  # a verify check name
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return _NUMBER % value
 
 
 @dataclass
 class ResultTable:
-    """Rectangular numeric result with config-echo metadata."""
+    """Rectangular numeric result with config-echo metadata.
+
+    Rows arrive as whole blocks (:meth:`add_rows`) or one at a time
+    (:meth:`add_row`), each checked as one block.  The only text cells are
+    the check names of the ``verify`` table, which appends its rows as
+    they are.
+    """
 
     columns: list
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def add_row(self, *values) -> None:
-        if len(values) != len(self.columns):
+    def add_rows(self, block) -> None:
+        """Append a 2-D block of numbers, one row per line.
+
+        A non-finite cell, e.g. a Python float overflow that numpy never
+        saw, raises ArithmeticError naming the first such column, and the
+        block adds no rows.
+        """
+        values = np.asarray(block, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(self.columns):
             raise ValueError("row width does not match columns")
-        for column, value in zip(self.columns, values):
-            if not math.isfinite(value):  # e.g. a Python float overflow that numpy never saw
-                raise ArithmeticError(f"non-finite {column} = {value}")
-        self.rows.append(list(values))
+        finite = np.isfinite(values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ArithmeticError(f"non-finite {self.columns[j]} = {values[i, j]}")
+        # a row given as numbers keeps them, so a bool cell stays a bool
+        self.rows.extend(block.tolist() if isinstance(block, np.ndarray) else map(list, block))
+
+    def add_row(self, *values) -> None:
+        self.add_rows([values])
 
     def lines(self) -> list:
         out = [f"# {k} = {self.metadata[k]}" for k in sorted(self.metadata)]
         out.append(",".join(self.columns))
-        for row in self.rows:
-            out.append(",".join(_fmt(v) for v in row))
+        if self.rows:
+            line = ",".join("%s" if isinstance(v, str) else _NUMBER for v in self.rows[0])
+            out.extend(line % tuple(row) for row in self.rows)
         return out
 
     def write(self, path: str) -> None:
@@ -298,18 +316,17 @@ def scenario_fields(p: dict, units: UnitSystem, seed: int) -> ResultTable:
             "tau_ret",
         ],
     )
-    for j in range(n_points):
-        angle = 2.0 * math.pi * j / n_points
-        point = radius * np.array([math.cos(angle), math.sin(angle), 0.0])
-        E, B, tau_ret = fields.fields_at(point, tau, traj)
-        rvec = point - traj.x(tau_ret)
-        r_hat = rvec / np.linalg.norm(rvec)
-        table.add_row(
-            angle, *point, *E, *B,
-            float(E @ B),
-            float(np.max(np.abs(B - np.cross(r_hat, E)))),
-            tau_ret,
-        )
+    angle = 2.0 * math.pi * np.arange(n_points) / n_points
+    points = radius * np.column_stack((np.cos(angle), np.sin(angle), np.zeros(n_points)))
+    E, B, tau_ret = fields.fields_at(points, tau, traj)
+    rvec = points - traj.position(tau_ret)  # a uniform source's position takes arrays
+    r_hat = rvec / np.linalg.norm(rvec, axis=1)[:, None]
+    table.add_rows(np.column_stack((
+        angle, points, E, B,
+        np.einsum("ij,ij->i", E, B),
+        np.max(np.abs(B - np.cross(r_hat, E)), axis=1),
+        tau_ret,
+    )))
     return table
 
 
@@ -324,8 +341,7 @@ def scenario_orbit(p: dict, units: UnitSystem, seed: int) -> ResultTable:
         columns=["tau", "x", "y", "z", "px", "py", "pz", "K", "H", "b"],
         metadata={"k_drift": _fmt(traj.k_drift)},
     )
-    for i in range(traj.tau.size):
-        table.add_row(traj.tau[i], *traj.x[i], *traj.p[i], traj.K[i], traj.H[i], traj.b[i])
+    table.add_rows(np.column_stack((traj.tau, traj.x, traj.p, traj.K, traj.H, traj.b)))
     return table
 
 
@@ -352,15 +368,11 @@ def scenario_nbody(p: dict, units: UnitSystem, seed: int) -> ResultTable:
     )
     u, v, b_i = many.per_particle_speeds(sys)
     ratios = many.clock_ratio(np.arange(sys.n), sys)
-    for i in range(sys.n):
-        table.add_row(
-            i,
-            sys.masses[i],
-            ratios[i],
-            float(np.linalg.norm(u[i])),
-            float(np.linalg.norm(v[i])),
-            float(b_i[i]),
-        )
+    # |u| and |v| row by row: an axis=1 norm sums in another order
+    table.add_rows(np.column_stack((
+        np.arange(sys.n), sys.masses, ratios,
+        [np.linalg.norm(w) for w in u], [np.linalg.norm(w) for w in v], b_i,
+    )))
     table.metadata.update(
         {
             "H": _fmt(inv.H),
@@ -391,8 +403,7 @@ def scenario_spectral(p: dict, units: UnitSystem, seed: int) -> ResultTable:
     table = ResultTable(columns=["x", "psi", "s_kernel", "s_oracle"])
     table.metadata["rel_l2_error"] = _fmt(err)
     table.metadata["tail_decay_fit"] = _fmt(spectral.fit_kernel_decay(params))
-    for i in range(psi.n):
-        table.add_row(psi.grid[i], psi.values[i], via_kernel.values[i], via_fft.values[i])
+    table.add_rows(np.column_stack((psi.grid, psi.values, via_kernel.values, via_fft.values)))
     return table
 
 

@@ -8,6 +8,7 @@ library's scalar ``poisson_bracket``, one component pair at a time, and
 read.
 """
 
+import decimal
 import functools
 import math
 
@@ -95,6 +96,30 @@ def retarded_time_constant_velocity(x, tau, x0, u, c=1.0):
     if not real:
         raise ValueError("no physical retarded root")
     return max(real)
+
+
+def retarded_time_decimal(x, tau, x0, u, c=1.0):
+    """Retarded time on the straight worldline x0 + u tau' to 40 digits.
+
+    The quadratic of :func:`retarded_time_constant_velocity`,
+    (u.u - b^2) t'^2 + 2 (b^2 tau - d.u) t' + d.d - b^2 tau^2 = 0 with
+    d = x - x0, solved in stdlib ``decimal`` at 40 significant digits
+    (``Decimal.sqrt`` included) from the exact values of the float inputs.
+    The root below tau is physical; the result is rounded to a float once.
+    """
+    with decimal.localcontext(decimal.Context(prec=40)):
+        D = decimal.Decimal
+        T, C = D(float(tau)), D(float(c))
+        us = [D(float(v)) for v in u]
+        ds = [D(float(a)) - D(float(b)) for a, b in zip(x, x0)]
+        uu = sum(v * v for v in us)
+        b2 = C * C + uu
+        a2 = uu - b2
+        a1 = 2 * (b2 * T - sum(d * v for d, v in zip(ds, us)))
+        a0 = sum(d * d for d in ds) - b2 * T * T
+        root = (a1 * a1 - 4 * a2 * a0).sqrt()
+        roots = [(-a1 + root) / (2 * a2), (-a1 - root) / (2 * a2)]
+        return float(max(r for r in roots if r < T))
 
 
 def retarded_time_by_quadrature(x, tau, traj, knots=()):

@@ -566,6 +566,57 @@ def test_result_table_rejects_non_finite_cell(bad):
     assert table.rows == []
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_result_table_rejects_a_block_with_a_non_finite_cell(bad):
+    table = ResultTable(columns=["a", "b", "c"])
+    block = np.arange(12.0).reshape(4, 3)
+    block[2, 1] = bad
+    block[3, 2] = math.nan  # a later bad cell is not the one named
+    with pytest.raises(ArithmeticError, match=f"non-finite b = {bad}"):
+        table.add_rows(block)
+    assert table.rows == []
+
+
+def _fmt_by_type(value):
+    """The cell formatter of the tables' one-cell-at-a-time formatting."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+CELLS = [0, 7, -3, 29, 10**16, 2**53, -(2**53), True, False, np.bool_(True), np.int64(12),
+         -0.0, 0.0, 1e16, 1e17, 0.1, 1 / 3, 2.0 / 3.0 * 1e-300, 5e-324, 1.7976931348623157e308,
+         -2.9313636401907619e-18, 0.30000000000000004, np.float64(6595.4)]
+
+
+def test_result_table_cells_format_as_by_type():
+    table = ResultTable(columns=[f"c{i}" for i in range(len(CELLS))])
+    table.add_row(*CELLS)
+    table.add_rows(np.array([CELLS], dtype=float))
+    expected = ",".join(_fmt_by_type(v) for v in CELLS)
+    assert table.lines() == [",".join(table.columns), expected, expected]
+
+
+def test_verify_out_is_the_one_cell_at_a_time_output(tmp_path, monkeypatch, capsys):
+    # the real checks plus a failing nan and a -0.0 residual
+    checks = [*verify.run_all(), Check("stub: nan", math.nan, 1.0), Check("stub: zero", -0.0, 1e-12)]
+    monkeypatch.setattr(verify, "run_all", lambda: checks)
+    out = tmp_path / "checks.csv"
+    assert main(["verify", "--out", str(out)]) == 3
+    capsys.readouterr()
+    from propertime import __version__
+
+    expected = [f"# version = {__version__}", "name,residual,tolerance,passed"] + [
+        ",".join(_fmt_by_type(v) for v in (c.name, c.residual, c.tolerance, c.passed))
+        for c in checks
+    ]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
 def test_scenario_config_rejects_bad_units():
     with pytest.raises(Exception):
         ScenarioConfig.from_mapping({"scenario": "redshift", "w": [0, 0, 0], "units": "imperial"})
