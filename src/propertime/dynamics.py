@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationAbort, RenormalizationPoleError
-from .kinematics import NATURAL, UnitSystem, _vec
+from .kinematics import NATURAL, UnitSystem, _cross, _vec
 
 __all__ = [
     "FieldConfiguration",
@@ -248,7 +248,7 @@ def _equations_of_motion(state: PhaseState, fields: FieldConfiguration):
     jac = fields.jac_A(state.x)
     B = fields.B(state.x) if fields.curl_vector is not None else _curl(jac)
     dA_dtau = jac @ u
-    dp = dp + (state.e / c) * dA_dtau + (state.e / c) * np.cross(u, B)
+    dp = dp + (state.e / c) * dA_dtau + (state.e / c) * _cross(u, B)
     return u, dp, b, V, grad_V, dA_dtau, B
 
 
@@ -298,7 +298,7 @@ def propertime_force(state: PhaseState, fields: FieldConfiguration) -> ForceDeco
         dA_dtau = B = np.zeros(3)
     total = (c / b) * (dp - (state.e / c) * dA_dtau)
     electric = -grad_V
-    magnetic = (state.e / b) * np.cross(u, B)
+    magnetic = (state.e / b) * _cross(u, B)
     radial = -grad_V * V / (state.m * c * b)
     return ForceDecomposition(
         total=total, electric=electric, magnetic=magnetic, radial_correction=radial

@@ -35,7 +35,9 @@ to the tolerance :math:`10^{-12}\max(1, |\tau|)`, once per point.  The
 path integral comes from a cumulative per-knot Gauss-Legendre table for a
 sampled source.  For a worldline given only by callables, whose velocity
 may jump or kink, it is a running sum over the iterates of halved
-Gauss-Lobatto panels.
+Gauss-Lobatto panels; each panel rule calls the velocity once with its 20
+nodes as an array of tau, and falls back to one scalar call per node when
+the velocity does not take arrays.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
     RetardationError,
     SingularGeometryError,
 )
-from .kinematics import NATURAL, UnitSystem, _vec
+from .kinematics import NATURAL, UnitSystem, _cross, _vec
 from .spectral import _gauss_legendre_20
 
 __all__ = [
@@ -77,7 +79,11 @@ __all__ = [
 class SourceTrajectory:
     """Worldline of a charge e, parameterized by its proper time.
 
-    ``position``, ``velocity`` and ``acceleration`` are callables of tau.
+    ``position``, ``velocity`` and ``acceleration`` are callables of tau;
+    the velocity may also be called with a 1-D array of tau.  A result of
+    shape (3, k) or (k, 3) for k values of tau is used as the velocities
+    there; any other result, or an exception, makes the retarded-time
+    solve call it with one tau at a time.
     """
 
     e: float
@@ -232,19 +238,6 @@ class FieldGeometry:
     b: np.ndarray
 
 
-# components of a x b: a[_NEXT] b[_PREV] - a[_PREV] b[_NEXT]
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross(a, b):
-    """a x b over the last axis, broadcasting the leading axes.
-
-    The same products and differences as np.cross, at a fifth of its call
-    overhead on 3-vectors.
-    """
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
-
-
 def _dot(a, b):
     """a . b over the last axis, broadcasting the leading axes.
 
@@ -281,13 +274,48 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
     they are.  An interval inside a panel that agreed with its halves (a
     Newton increment inside the bracket) takes one rule: b is resolved
     there.
+
+    A rule calls the velocity once with all 20 nodes when it returns a
+    finite float array of shape (3, 20) or (20, 3) whose b agrees with
+    ``traj.b`` at one node to 1e-13 relative on the first call; otherwise
+    (an exception, another shape) this solve calls ``traj.b`` node by node.
     """
     nodes, weights = _gauss_lobatto_20()
-    nodes = (1.0 + nodes).tolist()
+    nodes = 1.0 + nodes
+    scalar_nodes = nodes.tolist()
+    c2 = traj.units.c**2
+    array_ok = None  # whether the velocity takes the node array; None: untried
+
+    def b_nodes(t):
+        """b at the nodes t from one velocity call, or None."""
+        nonlocal array_ok
+        # a velocity written for one tau (a branch on tau, max(tau, 0)) raises
+        # on an array; a genuine error raises again on the scalar route
+        try:
+            u = np.asarray(traj.velocity(t))
+        except Exception:
+            return None
+        if u.dtype.kind != "f" or u.shape not in ((3, t.size), (t.size, 3)):
+            return None
+        b = np.sqrt(c2 + np.sum(u * u, axis=0 if u.shape[0] == 3 else 1))
+        if not np.all(np.isfinite(b)):
+            return None
+        if array_ok is None:
+            check = traj.b(float(t[10]))
+            if not abs(b[10] - check) <= 1e-13 * check:
+                return None
+            array_ok = True
+        return b
 
     def rule(t0, t1):
+        nonlocal array_ok
         half = 0.5 * (t1 - t0)
-        return half * (np.array([traj.b(t0 + half * t) for t in nodes]) @ weights)
+        if array_ok is not False:
+            b = b_nodes(t0 + half * nodes)
+            if b is not None:
+                return half * (b @ weights)
+            array_ok = False
+        return half * (np.array([traj.b(t0 + half * t) for t in scalar_nodes]) @ weights)
 
     resolved = []  # (start, end) of the panels that agreed with their halves
 
@@ -349,10 +377,12 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
         raise RetardationError(f"tau = {tau} outside trajectory interval")
     scale = max(1.0, abs(tau))
     xtol, rtol = 1e-12 * scale, 4.0 * float(np.finfo(float).eps)
-    dist_now = float(np.linalg.norm(x - traj.x(tau)))
-    if dist_now < 1e-14 * max(1.0, float(np.linalg.norm(x))):
+    r = x - traj.x(tau)
+    dist_now = math.sqrt(r @ r)
+    if dist_now < 1e-14 * max(1.0, math.sqrt(x @ x)):
         raise DegenerateGeometryError("field point lies on the source worldline")
     c = traj.units.c
+    c2 = c**2
     if traj._path is not None:
         # tabulated: int_t^tau b ds in one call, with one rounding
         def path_to(t, t_prev, path_prev):
@@ -373,7 +403,8 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
         probe = max(tau - step, traj.tau_min)
         path_lo = path_to(probe, lo, path_lo)
         lo = probe
-        gap_lo = path_lo - float(np.linalg.norm(x - traj.x(lo)))
+        r = x - traj.x(lo)
+        gap_lo = path_lo - math.sqrt(r @ r)
         if gap_lo > 0.0:
             break
         if lo == traj.tau_min:
@@ -394,7 +425,7 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     last_step = hi - lo
     for _ in range(200):
         r = x - traj.x(t)
-        r_mag = float(np.linalg.norm(r))
+        r_mag = math.sqrt(r @ r)
         gap = path_t - r_mag
         if gap == 0.0:
             break
@@ -402,8 +433,12 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
             lo = t
         else:
             hi = t
-        # gap' = -(b/|r|) s < 0, unless rounding cancels s at |u| >> c
-        slope = float(r @ traj.u(t)) / r_mag - traj.b(t) if r_mag > 0.0 else 0.0
+        # gap' = -(b/|r|) s < 0, unless rounding cancels s at |u| >> c;
+        # b as SourceTrajectory.b forms it, from the same velocity call
+        slope = 0.0
+        if r_mag > 0.0:
+            u = traj.u(t)
+            slope = float(r @ u) / r_mag - math.sqrt(c2 + u @ u)
         # a step below one ulp leaves new == t, which ends the solve
         new = t - gap / slope if slope < 0.0 else math.nan  # nan: bisect
         if not (lo <= new <= hi and 2.0 * abs(new - t) <= last_step):
@@ -412,13 +447,14 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
         if last_step <= xtol + rtol * abs(new):
             # converged: the path integral up to new is not needed
             t = new
-            r_mag = float(np.linalg.norm(x - traj.x(t)))
+            r = x - traj.x(t)
+            r_mag = math.sqrt(r @ r)
             break
         path_t = path_to(new, t, path_t)
         t = new
     else:
         raise RetardationError("retarded time did not converge")
-    if r_mag < 1e-14 * max(1.0, float(np.linalg.norm(x))):
+    if r_mag < 1e-14 * max(1.0, math.sqrt(x @ x)):
         raise DegenerateGeometryError("field point lies on the source worldline")
     return float(t)
 

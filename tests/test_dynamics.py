@@ -340,6 +340,22 @@ def test_one_vector_potential_jacobian_per_rhs():
     assert len(calls) == 7
 
 
+def test_magnetic_terms_equal_np_cross_bit_for_bit(monkeypatch):
+    fields = vector_potential_fields()
+    rng = np.random.default_rng(23)
+    states = [PhaseState(rng.normal(size=3), rng.normal(size=3), m=1.3, e=0.8) for _ in range(50)]
+
+    def evaluate():
+        return [(*hamilton_rhs(st, fields), *dataclasses.astuple(propertime_force(st, fields)))
+                for st in states]
+
+    got = evaluate()
+    monkeypatch.setattr(dynamics, "_cross", np.cross)
+    for values, expected in zip(got, evaluate()):
+        for a, b in zip(values, expected):
+            np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("e", [0.0, 0.8])
 def test_finite_difference_rhs_equals_defining_formula(e):
     # the one-Jacobian path rebuilt from the public field methods, bit for bit

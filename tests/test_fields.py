@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from oracles import (
     retarded_time_by_quadrature,
     retarded_time_constant_velocity,
     retarded_time_decimal,
 )
+from propertime import fields
 from propertime.errors import DegenerateGeometryError, DomainError, RetardationError
 from propertime.fields import (
     SourceTrajectory,
@@ -187,28 +189,152 @@ class TestRetardedTimeAgainstQuadrature:
             samples = np.array([source.x(t) for t in grid])
             self.assert_matches_quadrature(SourceTrajectory.from_samples(1.0, grid, samples), 5, grid)
 
+    def test_spline_derivative_as_plain_callable(self):
+        # the velocity returns (k, 3) on k nodes: one call per rule
+        grid = np.arange(-30.0, 10.0 + 1e-9, 0.25)
+        spline = CubicSpline(grid, np.array([oscillating_source(RNG).x(t) for t in grid]))
+        d1 = spline.derivative(1)
+        shapes = []
+        traj = SourceTrajectory(
+            e=1.0,
+            position=spline,
+            velocity=lambda tau: shapes.append(np.shape(tau)) or d1(tau),
+            acceleration=spline.derivative(2),
+        )
+        self.assert_matches_quadrature(traj, 5, grid)
+        assert (20,) in shapes
+
     def test_kicked_charge(self):
         # the velocity jumps at tau = 0.4: no panel across it passes a relative
         # test, and open Gauss-Legendre panels miss it near their ends by 1e-4
-        u0, u1 = np.array([0.5, -0.3, 0.2]), np.array([-1.2, 0.8, 0.6])
-        traj = SourceTrajectory(
-            e=1.0,
-            position=lambda tau: (u0 * tau if tau < 0.4 else 0.4 * u0 + u1 * (tau - 0.4)),
-            velocity=lambda tau: u0 if tau < 0.4 else u1,
-            acceleration=lambda tau: np.zeros(3),
-        )
-        self.assert_matches_quadrature(traj, 20, [0.4])
+        self.assert_matches_quadrature(kicked_source(), 20, [0.4])
 
     def test_kinked_velocity(self):
         # constant acceleration switched on at tau = 0.4: u is continuous, u' jumps
-        u0, a = np.array([0.5, -0.3, 0.2]), np.array([0.4, 0.9, -0.5])
-        traj = SourceTrajectory(
-            e=1.0,
-            position=lambda tau: u0 * tau + 0.5 * a * max(tau - 0.4, 0.0) ** 2,
-            velocity=lambda tau: u0 + a * max(tau - 0.4, 0.0),
-            acceleration=lambda tau: a * (tau >= 0.4),
-        )
-        self.assert_matches_quadrature(traj, 20, [0.4])
+        self.assert_matches_quadrature(kinked_source(), 20, [0.4])
+
+
+def kicked_source():
+    u0, u1 = np.array([0.5, -0.3, 0.2]), np.array([-1.2, 0.8, 0.6])
+    return SourceTrajectory(
+        e=1.0,
+        position=lambda tau: (u0 * tau if tau < 0.4 else 0.4 * u0 + u1 * (tau - 0.4)),
+        velocity=lambda tau: u0 if tau < 0.4 else u1,
+        acceleration=lambda tau: np.zeros(3),
+    )
+
+
+def kinked_source():
+    u0, a = np.array([0.5, -0.3, 0.2]), np.array([0.4, 0.9, -0.5])
+    return SourceTrajectory(
+        e=1.0,
+        position=lambda tau: u0 * tau + 0.5 * a * max(tau - 0.4, 0.0) ** 2,
+        velocity=lambda tau: u0 + a * max(tau - 0.4, 0.0),
+        acceleration=lambda tau: a * (tau >= 0.4),
+    )
+
+
+def constant_velocity_source():
+    u = np.array([1.5, -0.7, 2.0])
+    return SourceTrajectory(
+        e=1.0,
+        position=lambda tau: u * tau,
+        velocity=lambda tau: u,
+        acceleration=lambda tau: np.zeros(3),
+    )
+
+
+def with_velocity(traj, velocity):
+    """The worldline of traj with another velocity callable."""
+    return SourceTrajectory(
+        e=traj.e, position=traj.position, velocity=velocity, acceleration=traj.acceleration
+    )
+
+
+def per_node_general_path(traj, tol):
+    """fields._general_path with b taken node by node: the route before the
+    velocity was called on whole node arrays, kept as the scalar reference."""
+    nodes, weights = fields._gauss_lobatto_20()
+    nodes = (1.0 + nodes).tolist()
+
+    def rule(t0, t1):
+        half = 0.5 * (t1 - t0)
+        return half * (np.array([traj.b(t0 + half * t) for t in nodes]) @ weights)
+
+    resolved = []
+
+    def panel(t0, t1, whole, depth):
+        mid = 0.5 * (t0 + t1)
+        left, right = rule(t0, mid), rule(mid, t1)
+        if abs(left + right - whole) <= max(tol, 1e-14 * abs(left + right)):
+            resolved.append((min(t0, t1), max(t0, t1)))
+            return left + right
+        if depth == 40:
+            return left + right
+        return panel(t0, mid, left, depth + 1) + panel(mid, t1, right, depth + 1)
+
+    def path(t0, t1):
+        whole = rule(t0, t1)
+        a, b = min(t0, t1), max(t0, t1)
+        if any(start <= a and b <= end for start, end in resolved):
+            return float(whole)
+        return float(panel(t0, t1, whole, 0))
+
+    return path
+
+
+class TestVelocityOnNodeArrays:
+    """The path integral of a plain-callable source from one velocity call
+    per rule, against the node-by-node route it falls back to."""
+
+    @staticmethod
+    def points(n):
+        rng = np.random.default_rng(18)
+        return [(random_field_point(rng, 3.0, 5.0), rng.uniform(0.0, 3.0)) for _ in range(n)]
+
+    def test_array_route_matches_scalar_route(self):
+        rng = np.random.default_rng(19)
+        for x, tau in self.points(50):
+            traj = oscillating_source(rng)
+            scalar = with_velocity(traj, lambda t, v=traj.velocity: v(float(t)))
+            E, B, t_ret = fields_at(x, tau, traj)
+            E1, B1, t1 = fields_at(x, tau, scalar)
+            assert abs(t_ret - t1) <= 1e-13 * max(1.0, abs(t1))
+            assert np.max(np.abs(E - E1)) <= 1e-13 * np.max(np.abs(E1))
+            assert np.max(np.abs(B - B1)) <= 1e-13 * np.max(np.abs(B1))
+
+    def test_scalar_route_is_the_per_node_rule(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        sources = [kicked_source(), kinked_source(), constant_velocity_source()]
+        for _ in range(10):
+            traj = oscillating_source(rng)
+            sources.append(with_velocity(traj, lambda t, v=traj.velocity: v(float(t))))
+        points = self.points(len(sources))
+        got = [retarded_time(x, tau, traj) for traj, (x, tau) in zip(sources, points)]
+        monkeypatch.setattr(fields, "_general_path", per_node_general_path)
+        expected = [retarded_time(x, tau, traj) for traj, (x, tau) in zip(sources, points)]
+        assert got == expected
+
+    def test_wrong_array_values_take_the_scalar_route(self):
+        rng = np.random.default_rng(21)
+        for x, tau in self.points(10):
+            traj = oscillating_source(rng)
+            v = traj.velocity
+            wrong = with_velocity(traj, lambda t: v(t) if np.ndim(t) == 0 else 1.5 * v(t))
+            scalar = with_velocity(traj, lambda t: v(float(t)))
+            assert retarded_time(x, tau, wrong) == retarded_time(x, tau, scalar)
+
+    def test_one_velocity_call_per_rule(self):
+        rng = np.random.default_rng(22)
+        counts = []
+        for x, tau in self.points(30):
+            traj = oscillating_source(rng)
+            calls = []
+            counted = with_velocity(traj, lambda t, v=traj.velocity: calls.append(1) or v(t))
+            fields_at(x, tau, counted)
+            counts.append(len(calls))
+        # node by node, the median point takes several hundred calls
+        assert np.median(counts) <= 40
 
 
 class TestFieldGeometry:
