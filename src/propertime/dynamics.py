@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, IntegrationAbort, RenormalizationPoleError
 from .kinematics import NATURAL, UnitSystem, _cross, _vec
@@ -319,6 +318,8 @@ def coulomb_critical_radius(m: float, e_charge: float, units: UnitSystem = NATUR
     def critical(r: float) -> float:
         return 1.0 - e_charge**2 / (r * m * c**2)
 
+    from scipy.optimize import brentq
+
     return float(brentq(critical, 1e-6 * guess, 1e6 * guess, xtol=1e-15 * guess, rtol=8 * np.finfo(float).eps))
 
 
@@ -411,8 +412,8 @@ def integrate_orbit(
     those two fields take K, H and b of all records from one array pass;
     other fields, and a pass that would warn or raise, go row by row.
     """
-    if not dtau > 0.0:
-        raise DomainError(f"dtau must be positive, got {dtau}")
+    if not (math.isfinite(dtau) and dtau > 0.0):
+        raise DomainError(f"dtau must be finite and positive, got {dtau}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     if record_every < 1:
@@ -538,6 +539,8 @@ def _solve_mass_ratio(u2: float, beta: float, m: float, c: float) -> float:
         raise RenormalizationPoleError("no consistent renormalized mass")
     if implicit(lo) > 0.0:
         raise RenormalizationPoleError("no consistent renormalized mass")
+    from scipy.optimize import brentq
+
     return float(brentq(implicit, lo, hi, xtol=1e-15 * m, rtol=8 * np.finfo(float).eps))
 
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegenerateGeometryError,
@@ -163,6 +162,8 @@ class SourceTrajectory:
             raise DomainError("sample grid must be strictly increasing")
         if positions.shape != (tau_grid.size, 3):
             raise DomainError("positions must have shape (len(tau_grid), 3)")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(tau_grid, positions, axis=0)
         d1 = spline.derivative(1)
         d2 = spline.derivative(2)
@@ -252,6 +253,11 @@ def _col(v):
     return np.asarray(v)[..., None]
 
 
+# rules one general-path solve may spend; the largest solve in the tests, a
+# spline derivative passed as a plain callable, takes 1731
+_PATH_RULES = 8000
+
+
 @functools.cache
 def _gauss_lobatto_20():
     """Nodes and weights of the 20-point Gauss-Lobatto rule on [-1, 1]."""
@@ -273,10 +279,11 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
     rule nor its halves.  After 40 halvings a panel's halves are taken as
     they are.  An interval inside a panel that agreed with its halves (a
     Newton increment inside the bracket) takes one rule: b is resolved
-    there.
+    there.  One solve spends at most ``_PATH_RULES`` rules, and a b that is
+    not finite at any node ends it: both raise ``RetardationError``.
 
     A rule calls the velocity once with all 20 nodes when it returns a
-    finite float array of shape (3, 20) or (20, 3) whose b agrees with
+    float array of shape (3, 20) or (20, 3) whose b agrees with
     ``traj.b`` at one node to 1e-13 relative on the first call; otherwise
     (an exception, another shape) this solve calls ``traj.b`` node by node.
     """
@@ -285,6 +292,7 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
     scalar_nodes = nodes.tolist()
     c2 = traj.units.c**2
     array_ok = None  # whether the velocity takes the node array; None: untried
+    budget = _PATH_RULES
 
     def b_nodes(t):
         """b at the nodes t from one velocity call, or None."""
@@ -298,8 +306,6 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
         if u.dtype.kind != "f" or u.shape not in ((3, t.size), (t.size, 3)):
             return None
         b = np.sqrt(c2 + np.sum(u * u, axis=0 if u.shape[0] == 3 else 1))
-        if not np.all(np.isfinite(b)):
-            return None
         if array_ok is None:
             check = traj.b(float(t[10]))
             if not abs(b[10] - check) <= 1e-13 * check:
@@ -308,14 +314,18 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
         return b
 
     def rule(t0, t1):
-        nonlocal array_ok
+        nonlocal array_ok, budget
+        budget -= 1
+        if budget < 0:
+            raise RetardationError("path integral unresolved")
         half = 0.5 * (t1 - t0)
-        if array_ok is not False:
-            b = b_nodes(t0 + half * nodes)
-            if b is not None:
-                return half * (b @ weights)
+        b = b_nodes(t0 + half * nodes) if array_ok is not False else None
+        if b is None:
             array_ok = False
-        return half * (np.array([traj.b(t0 + half * t) for t in scalar_nodes]) @ weights)
+            b = np.array([traj.b(t0 + half * t) for t in scalar_nodes])
+        if not np.isfinite(b).all():
+            raise RetardationError("collaborative speed b is not finite on the path")
+        return half * (b @ weights)
 
     resolved = []  # (start, end) of the panels that agreed with their halves
 
@@ -337,6 +347,12 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
         return float(panel(t0, t1, whole, 0))
 
     return path
+
+
+def _require_finite(x) -> None:
+    """Raise DomainError unless every coordinate of the field points x is finite."""
+    if not np.isfinite(x).all():
+        raise DomainError("field point coordinates must be finite")
 
 
 def _on_worldline(x, xbar) -> bool:
@@ -371,6 +387,7 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     running sum over the iterates.  Both routes raise the same errors.
     """
     x = _vec(x)
+    _require_finite(x)
     if traj._retarded is not None:
         return float(_closed_form_retarded(x, tau, traj))
     if not traj.tau_min <= tau <= traj.tau_max:
@@ -540,10 +557,12 @@ def fields_at(x, tau: float, traj: SourceTrajectory):
     float tau_ret, or N points of shape (N, 3), giving (N, 3) fields and N
     retarded times.  A static or uniform source solves all points in one
     array expression; any other source runs the Newton solve per point.
+    A point with a non-finite coordinate raises ``DomainError``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise DomainError(f"expected a 3-vector or an (N, 3) array, got shape {x.shape}")
+    _require_finite(x)
     if traj._retarded is not None:
         tau_ret = _closed_form_retarded(x, tau, traj)
     elif x.ndim == 1:

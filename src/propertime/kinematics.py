@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 
@@ -161,6 +160,8 @@ def elapsed_observer_time(tau_grid, b_samples, units: UnitSystem = NATURAL) -> E
         raise DomainError("proper-time grid must be strictly increasing")
     if np.any(b < units.c):
         raise DomainError("collaborative speed samples must satisfy b >= c")
+    from scipy.integrate import simpson
+
     t = float(simpson(b, x=tau)) / units.c
     span = tau[-1] - tau[0]
     return ElapsedTime(t=t, b_bar=units.c * t / span)

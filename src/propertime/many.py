@@ -29,6 +29,7 @@ complex input, and keep central differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -438,8 +439,8 @@ def free_flight(sys: ParticleSystem, dtau: float, n_steps: int) -> FreeTrajector
     is exact; observer time advances as t = (H/Mc^2) tau.
     """
     sys.require_free("free_flight")
-    if not dtau > 0.0:
-        raise DomainError(f"dtau must be positive, got {dtau}")
+    if not (math.isfinite(dtau) and dtau > 0.0):
+        raise DomainError(f"dtau must be finite and positive, got {dtau}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     c = sys.units.c

@@ -44,7 +44,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import iti0k0, k0, k1
 
 from .errors import DomainError, ResolutionError
 
@@ -154,6 +153,8 @@ def sqrt_kernel_weight(d, params: KernelParameters):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0.0):
         raise DomainError("distance must be positive")
+    from scipy.special import k0, k1
+
     mu, hbar, c = params.mu, params.hbar, params.c
     bracket = k0(mu * d) / d + 2.0 * k1(mu * d) / (mu * d**2)
     out = -(mu**2 * hbar**2 * c / math.pi**2) * bracket / d
@@ -166,6 +167,8 @@ def line_kernel_weight(z, params: KernelParameters):
     az = np.abs(z)
     if np.any(az == 0.0):
         raise DomainError("offset must be nonzero")
+    from scipy.special import k1
+
     out = -params.hbar * params.c * params.mu * k1(params.mu * az) / (math.pi * az)
     return float(out) if out.ndim == 0 else out
 
@@ -219,6 +222,8 @@ class SqrtOperator1D:
         # self cell: PV kills the odd moment, and with x = mu dz / 2
         # int_{-dz/2}^{dz/2} S1(z) z^2 dz = -(2 hbar c/(pi mu)) int_0^x t K1(t) dt,
         # where int_0^x t K1 = int_0^x K0 - x K0(x)
+        from scipy.special import iti0k0, k0
+
         x = 0.5 * p.mu * dz
         m2_self = -2.0 * p.hbar * p.c / (math.pi * p.mu) * (iti0k0(x)[1] - x * k0(x))
         table[0] += p.rest_energy - w0.sum() - m2_self / dz**2

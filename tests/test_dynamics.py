@@ -300,18 +300,20 @@ def vector_potential_fields(b_z=0.7, k=0.3):
     "call",
     [
         lambda st: integrate_orbit(st, FREE, float("nan"), 10),
+        lambda st: integrate_orbit(st, FREE, math.inf, 10),
         lambda st: integrate_orbit(st, FREE, 0.0, 10),
         lambda st: integrate_orbit(st, FREE, -0.1, 10),
         lambda st: integrate_orbit(st, FREE, 0.1, -5),
         lambda st: integrate_orbit(st, FREE, 0.1, 10, record_every=0),
         lambda st: integrate_orbit(st, FREE, 0.1, 10, record_every=-1),
         lambda st: free_flight(ParticleSystem.random(2, RNG), float("nan"), 10),
+        lambda st: free_flight(ParticleSystem.random(2, RNG), math.inf, 10),
         lambda st: free_flight(ParticleSystem.random(2, RNG), -0.1, 10),
         lambda st: free_flight(ParticleSystem.random(2, RNG), 0.1, -1),
     ],
-    ids=["orbit-nan-dtau", "orbit-zero-dtau", "orbit-negative-dtau", "orbit-negative-steps",
-         "orbit-record-every-0", "orbit-record-every-negative", "flight-nan-dtau",
-         "flight-negative-dtau", "flight-negative-steps"],
+    ids=["orbit-nan-dtau", "orbit-inf-dtau", "orbit-zero-dtau", "orbit-negative-dtau",
+         "orbit-negative-steps", "orbit-record-every-0", "orbit-record-every-negative",
+         "flight-nan-dtau", "flight-inf-dtau", "flight-negative-dtau", "flight-negative-steps"],
 )
 def test_trajectory_arguments_checked(call):
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -335,6 +336,95 @@ class TestVelocityOnNodeArrays:
             counts.append(len(calls))
         # node by node, the median point takes several hundred calls
         assert np.median(counts) <= 40
+
+
+class CallLimit(Exception):
+    """Raised by a test velocity past its call limit, so a solve that never
+    ends fails its test instead of hanging it."""
+
+
+def limited(velocity, limit=200_000):
+    calls = 0
+
+    def call(tau):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise CallLimit(f"{limit} velocity calls")
+        return velocity(tau)
+
+    return call
+
+
+def oscillating_line(velocity):
+    """Charge on the x axis with x(tau) = 0.3 sin tau and the given velocity."""
+    return SourceTrajectory(
+        e=1.0,
+        position=lambda tau: np.array([0.3 * np.sin(tau), 0.0 * tau, 0.0 * tau]),
+        velocity=limited(velocity),
+        acceleration=lambda tau: np.array([-0.3 * np.sin(tau), 0.0 * tau, 0.0 * tau]),
+    )
+
+
+def nan_before_minus_one(tau):
+    # branches on one tau, so the solve calls it node by node
+    return np.array([math.nan if tau < -1.0 else 0.3 * math.cos(tau), 0.0, 0.0])
+
+
+def nan_before_minus_one_on_arrays(tau):
+    return np.array([np.where(tau < -1.0, math.nan, 0.3 * np.cos(tau)), 0.0 * tau, 0.0 * tau])
+
+
+def unresolved_wiggle(tau):
+    # b wiggles by about 3e-7 with period 6e-7: no panel agrees with its
+    # halves to the solve's 1e-14 until it is shorter than a period
+    return np.array([0.3 * np.cos(tau) + 1e-6 * np.sin(1e7 * tau), 0.0 * tau, 0.0 * tau])
+
+
+def raises_within(seconds, error, call, match=None):
+    start = time.perf_counter()
+    with pytest.raises(error, match=match):
+        call()
+    assert time.perf_counter() - start < seconds
+
+
+class TestSolveAlwaysEnds:
+    """Inputs on which the retarded-time solve once ran without end."""
+
+    @pytest.mark.parametrize("velocity", [nan_before_minus_one, nan_before_minus_one_on_arrays])
+    def test_non_finite_b_on_the_path_raises(self, velocity):
+        traj = oscillating_line(velocity)
+        x = np.array([0.0, 3.4, 0.0])  # tau' near -3.3 at tau = 0
+        raises_within(1.0, RetardationError, lambda: retarded_time(x, 0.0, traj), "not finite")
+        raises_within(1.0, RetardationError, lambda: fields_at(x, 0.0, traj))
+
+    @pytest.mark.parametrize("velocity", [nan_before_minus_one, nan_before_minus_one_on_arrays])
+    def test_non_finite_b_off_the_path_is_not_read(self, velocity):
+        x = np.array([0.0, 0.9, 0.0])  # tau' near -0.9: the path stays above -1
+        clean = oscillating_line(lambda tau: np.array([0.3 * np.cos(tau), 0.0 * tau, 0.0 * tau]))
+        assert retarded_time(x, 0.0, oscillating_line(velocity)) == retarded_time(x, 0.0, clean)
+
+    def test_unresolved_path_integral_raises(self):
+        traj = oscillating_line(unresolved_wiggle)
+        x = np.array([0.0, 2.0, 0.0])
+        raises_within(1.0, RetardationError, lambda: retarded_time(x, 0.0, traj),
+                      "path integral unresolved")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["plain", "static", "uniform", "sampled"])
+    def test_non_finite_field_point_raises(self, kind, bad):
+        grid = np.linspace(-20.0, 5.0, 101)
+        traj = {
+            "plain": oscillating_line(unresolved_wiggle),
+            "static": SourceTrajectory.static(1.0, [0.3, -0.2, 0.5]),
+            "uniform": SourceTrajectory.uniform(1.0, [0.3, -0.2, 0.5], [1.5, -0.7, 2.0]),
+            "sampled": SourceTrajectory.from_samples(
+                1.0, grid, np.stack([0.3 * np.sin(grid), 0.0 * grid, 0.0 * grid], axis=1)),
+        }[kind]
+        x = np.array([1.0, bad, 0.5])
+        raises_within(1.0, DomainError, lambda: retarded_time(x, 0.0, traj), "finite")
+        raises_within(1.0, DomainError, lambda: fields_at(x, 0.0, traj), "finite")
+        raises_within(1.0, DomainError, lambda: fields_at(np.array([[2.0, 0.0, 0.0], x]), 0.0, traj))
 
 
 class TestFieldGeometry:
