@@ -253,9 +253,13 @@ def _col(v):
     return np.asarray(v)[..., None]
 
 
-# rules one general-path solve may spend; the largest solve in the tests, a
-# spline derivative passed as a plain callable, takes 1731
-_PATH_RULES = 8000
+# rules one general-path solve may spend: _PATH_RULES, plus _PATH_RULES_PER_TAU
+# for each unit of tau its path integrals cover.  A resolved b takes rules in
+# proportion to that span, which grows with the distance to the field point:
+# about 6 per unit for the oscillating sources of the tests and 180 for a
+# spline velocity with knots 0.25 apart, at distances from 3 to 1000
+_PATH_RULES = 2000
+_PATH_RULES_PER_TAU = 5000
 
 
 @functools.cache
@@ -279,13 +283,17 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
     rule nor its halves.  After 40 halvings a panel's halves are taken as
     they are.  An interval inside a panel that agreed with its halves (a
     Newton increment inside the bracket) takes one rule: b is resolved
-    there.  One solve spends at most ``_PATH_RULES`` rules, and a b that is
-    not finite at any node ends it: both raise ``RetardationError``.
+    there.  One solve spends at most ``_PATH_RULES`` rules plus
+    ``_PATH_RULES_PER_TAU`` per unit of tau covered by its ``path`` calls,
+    and a b that is not finite at any node ends it: both raise
+    ``RetardationError``.
 
     A rule calls the velocity once with all 20 nodes when it returns a
     float array of shape (3, 20) or (20, 3) whose b agrees with
     ``traj.b`` at one node to 1e-13 relative on the first call; otherwise
     (an exception, another shape) this solve calls ``traj.b`` node by node.
+    A non-finite b from the array call raises at once; it is not retried
+    node by node.
     """
     nodes, weights = _gauss_lobatto_20()
     nodes = 1.0 + nodes
@@ -340,6 +348,8 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
         return panel(t0, mid, left, depth + 1) + panel(mid, t1, right, depth + 1)
 
     def path(t0, t1):
+        nonlocal budget
+        budget += _PATH_RULES_PER_TAU * abs(t1 - t0)
         whole = rule(t0, t1)
         a, b = min(t0, t1), max(t0, t1)
         if any(start <= a and b <= end for start, end in resolved):
@@ -349,10 +359,12 @@ def _general_path(traj: SourceTrajectory, tol: float) -> Callable[[float, float]
     return path
 
 
-def _require_finite(x) -> None:
-    """Raise DomainError unless every coordinate of the field points x is finite."""
+def _require_finite(x, tau) -> None:
+    """Raise DomainError unless tau and every coordinate of the field points x are finite."""
     if not np.isfinite(x).all():
         raise DomainError("field point coordinates must be finite")
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau}")
 
 
 def _on_worldline(x, xbar) -> bool:
@@ -385,9 +397,10 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     time is unique.  The path integral comes from the trajectory's own
     path function, or for a worldline given only by callables as a
     running sum over the iterates.  Both routes raise the same errors.
+    A non-finite field point or tau raises ``DomainError``.
     """
     x = _vec(x)
-    _require_finite(x)
+    _require_finite(x, tau)
     if traj._retarded is not None:
         return float(_closed_form_retarded(x, tau, traj))
     if not traj.tau_min <= tau <= traj.tau_max:
@@ -557,12 +570,13 @@ def fields_at(x, tau: float, traj: SourceTrajectory):
     float tau_ret, or N points of shape (N, 3), giving (N, 3) fields and N
     retarded times.  A static or uniform source solves all points in one
     array expression; any other source runs the Newton solve per point.
-    A point with a non-finite coordinate raises ``DomainError``.
+    A point with a non-finite coordinate, or a non-finite tau, raises
+    ``DomainError``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise DomainError(f"expected a 3-vector or an (N, 3) array, got shape {x.shape}")
-    _require_finite(x)
+    _require_finite(x, tau)
     if traj._retarded is not None:
         tau_ret = _closed_form_retarded(x, tau, traj)
     elif x.ndim == 1:

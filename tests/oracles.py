@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import k1
+from scipy.special import ellipeinc, k1
 
 
 def einstein_velocity_composition(w, v, c=1.0):
@@ -157,6 +157,31 @@ def retarded_time_by_quadrature(x, tau, traj, knots=()):
         step *= 2.0
         lo = tau - step
     return brentq(gap, max(lo, traj.tau_min), tau, xtol=1e-14 * scale, rtol=4 * np.finfo(float).eps)
+
+
+def retarded_time_sine_line(x, tau, amplitude, omega):
+    """Retarded time of the worldline xbar(t) = (A sin(w t), 0, 0), c = 1.
+
+    With a = A w and m = a^2 / (1 + a^2), b = sqrt(1 + a^2 cos^2(w t))
+    = sqrt(1 + a^2) sqrt(1 - m sin^2(w t)), so int b dt is
+    sqrt(1 + a^2) E(w t | m) / w, the incomplete elliptic integral of the
+    second kind: a closed-form path integral at any distance.  ``brentq``
+    on the gap over [tau - |r| - 2A - 1, tau], with r = x - xbar(tau):
+    b >= 1 and the source stays within 2A of xbar(tau), so the retarded
+    time lies within |r| + 2A of tau.  The root to ``1e-14 max(1, |tau|)``.
+    """
+    a2 = (amplitude * omega) ** 2
+    m = a2 / (1.0 + a2)
+
+    def path_from_zero(t):
+        return math.sqrt(1.0 + a2) * ellipeinc(omega * t, m) / omega
+
+    def gap(tp):
+        r = np.asarray(x, dtype=float) - [amplitude * math.sin(omega * tp), 0.0, 0.0]
+        return path_from_zero(tau) - path_from_zero(tp) - math.sqrt(r @ r)
+
+    lo = tau + gap(tau) - 2.0 * amplitude - 1.0
+    return brentq(gap, lo, tau, xtol=1e-14 * max(1.0, abs(tau)), rtol=4 * np.finfo(float).eps)
 
 
 def sqrt_table_adaptive(params, n, spacing):

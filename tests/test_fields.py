@@ -9,6 +9,7 @@ from oracles import (
     retarded_time_by_quadrature,
     retarded_time_constant_velocity,
     retarded_time_decimal,
+    retarded_time_sine_line,
 )
 from propertime import fields
 from propertime.errors import DegenerateGeometryError, DomainError, RetardationError
@@ -425,6 +426,57 @@ class TestSolveAlwaysEnds:
         raises_within(1.0, DomainError, lambda: retarded_time(x, 0.0, traj), "finite")
         raises_within(1.0, DomainError, lambda: fields_at(x, 0.0, traj), "finite")
         raises_within(1.0, DomainError, lambda: fields_at(np.array([[2.0, 0.0, 0.0], x]), 0.0, traj))
+        # a non-finite tau too, which passes tau_min <= tau <= tau_max when
+        # both bounds are infinite
+        x = np.array([1.0, 2.0, 0.5])
+        raises_within(1.0, DomainError, lambda: retarded_time(x, bad, traj), "finite")
+        raises_within(1.0, DomainError, lambda: fields_at(x, bad, traj), "finite")
+        raises_within(1.0, DomainError, lambda: fields_at(np.array([[2.0, 0.0, 0.0], x]), bad, traj))
+
+
+def sine_line(amplitude, omega):
+    """Charge on the x axis with x(tau) = A sin(w tau), given by callables."""
+    return SourceTrajectory(
+        e=1.0,
+        position=lambda tau: np.array([amplitude * np.sin(omega * tau), 0.0 * tau, 0.0 * tau]),
+        velocity=lambda tau: np.array(
+            [amplitude * omega * np.cos(omega * tau), 0.0 * tau, 0.0 * tau]),
+        acceleration=lambda tau: np.array(
+            [-amplitude * omega**2 * np.sin(omega * tau), 0.0 * tau, 0.0 * tau]),
+    )
+
+
+class TestFarFieldPoints:
+    """A resolved b takes rules in proportion to the span the path integral
+    covers, about the distance to the field point: far points still solve."""
+
+    def test_oscillating_line(self):
+        # about 12,000 rules per solve at |x| = 3000
+        traj = sine_line(0.8, 1.2)
+        rng = np.random.default_rng(4)
+        for distance in (300.0, 3000.0, 3000.0):
+            x = random_field_point(rng, distance, distance)
+            tau = rng.uniform(-1.0, 3.0)
+            expected = retarded_time_sine_line(x, tau, 0.8, 1.2)
+            assert abs(retarded_time(x, tau, traj) - expected) <= 1e-12 * max(1.0, abs(tau))
+
+    def test_spline_derivative_as_plain_callable(self):
+        # about 14,500 rules per solve at |x| = 60, tau' near -37
+        grid = np.arange(-80.0, 10.0 + 1e-9, 0.25)
+        source = oscillating_source(np.random.default_rng(8))
+        spline = CubicSpline(grid, np.array([source.x(t) for t in grid]))
+        traj = SourceTrajectory(
+            e=1.0,
+            position=spline,
+            velocity=spline.derivative(1),
+            acceleration=spline.derivative(2),
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            x = random_field_point(rng, 60.0, 60.0)
+            tau = rng.uniform(-1.0, 3.0)
+            expected = retarded_time_by_quadrature(x, tau, traj, grid)
+            assert abs(retarded_time(x, tau, traj) - expected) <= 1e-12 * max(1.0, abs(tau))
 
 
 class TestFieldGeometry:

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 import propertime
@@ -89,33 +88,3 @@ def test_import_and_redshift_load_no_scipy(tmp_path):
         print(json.dumps([after_import, code, after_run]))
     """))
     assert json.loads(out) == [[], 0, []]
-
-
-def scipy_call_results():
-    """One call of each function that imports scipy, as lists of hex floats."""
-    grid = np.linspace(-1.0, 1.0, 9)
-    positions = np.stack([np.sin(grid), grid**2, np.zeros(9)], axis=1)
-    traj = propertime.SourceTrajectory.from_samples(1.0, grid, positions)
-    tau = np.linspace(0.0, 2.0, 11)
-    operator = propertime.SqrtOperator1D(propertime.KernelParameters.from_mass(0.8), 64, 0.3)
-    values = {
-        "coulomb_critical_radius": [propertime.coulomb_critical_radius(1.3, 0.7)],
-        "from_samples": [*traj.x(0.3), *traj.u(0.3), *traj.a(0.3), traj._path(-0.5, 0.7)],
-        "elapsed_observer_time": list(propertime.elapsed_observer_time(tau, np.sqrt(1.0 + tau**2))),
-        "SqrtOperator1D": operator.weights.tolist(),
-    }
-    return {name: [float(v).hex() for v in vs] for name, vs in values.items()}
-
-
-def test_first_scipy_calls_match_warm_calls():
-    # the first call in a process, which runs the function's scipy import,
-    # returns what a call in this warm process returns
-    tests = str(pathlib.Path(__file__).parent)
-    cold = json.loads(run_fresh_python(textwrap.dedent(f"""
-        import json, sys
-        sys.path.insert(0, {tests!r})
-        import test_package
-        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
-        print(json.dumps(test_package.scipy_call_results()))
-    """)))
-    assert cold == scipy_call_results()
