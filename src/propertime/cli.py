@@ -38,6 +38,10 @@ class ConfigError(Exception):
 _REQUIRED = object()  # default of a key the config must give
 _ZERO3 = [0.0, 0.0, 0.0]
 
+# numpy's ValueError for an array too large to index, told apart by its message
+_ARRAY_SIZE_ERRORS = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                      "array is too big")
+
 # keys every scenario accepts besides "scenario"
 _COMMON = {"units": ({"natural", "si"}, "natural"), "seed": (int, 0, 0), "out": (str, None)}
 
@@ -455,7 +459,12 @@ def run_config(
         # an overflow, x/0 or nan is one exit-3 line, not a warning flood;
         # underflow stays quiet, since Gaussian and K1 tails underflow legitimately
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
+            try:
+                table = SCENARIOS[cfg.scenario][0](cfg.params, cfg.units, cfg.seed)
+            except ValueError as exc:
+                if str(exc).startswith(_ARRAY_SIZE_ERRORS):
+                    raise MemoryError(f"array too large: {exc}") from exc
+                raise
         table.metadata = {"config": json.dumps(cfg.raw, sort_keys=True), "version": __version__,
                           "seed": cfg.seed, "c": _fmt(cfg.units.c), **table.metadata}
         target = out or cfg.out
@@ -466,7 +475,8 @@ def run_config(
     except (ConfigError, OSError) as exc:  # OSError: the output cannot be written
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    except (PropertimeError, ArithmeticError) as exc:  # ArithmeticError: overflow, x/0, inf/nan
+    # ArithmeticError: overflow, x/0, inf/nan; MemoryError: a size too large to allocate
+    except (PropertimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure in {cfg.scenario}: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 3
     return 0

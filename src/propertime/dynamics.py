@@ -83,10 +83,10 @@ class FieldConfiguration:
     grad_scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None
     curl_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_vector: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # From free() and coulomb(): make(m, c), hamilton_rhs on six floats with A
-    # absent, and V over the rows of an (n, 3) array.  replace() and
-    # hand-built configurations drop both (see integrate_orbit).
-    _plain_rhs: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    # From free() and coulomb(): make(m, c, h), one RK4 step of hamilton_rhs on
+    # six floats with A absent, and V over the rows of an (n, 3) array.
+    # replace() and hand-built configurations drop both (see integrate_orbit).
+    _plain_step: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
     _array_V: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def V(self, x) -> float:
@@ -131,7 +131,7 @@ class FieldConfiguration:
     @classmethod
     def free(cls) -> "FieldConfiguration":
         conf = cls(scalar=lambda x: 0.0, grad_scalar=lambda x: np.zeros(3))
-        object.__setattr__(conf, "_plain_rhs", _free_plain_rhs)
+        object.__setattr__(conf, "_plain_step", _free_plain_step)
         object.__setattr__(conf, "_array_V", lambda x: np.zeros(len(x)))
         return conf
 
@@ -146,7 +146,7 @@ class FieldConfiguration:
             return strength * x / math.sqrt(x @ x) ** 3
 
         conf = cls(scalar=V, grad_scalar=grad)
-        object.__setattr__(conf, "_plain_rhs", functools.partial(_coulomb_plain_rhs, strength))
+        object.__setattr__(conf, "_plain_step", functools.partial(_coulomb_plain_step, strength))
         object.__setattr__(conf, "_array_V", lambda x: -strength / np.sqrt(_row_dots(x)))
         return conf
 
@@ -341,55 +341,118 @@ class OrbitTrajectory:
         return float(np.max(np.abs(self.K - k0)) / abs(k0))
 
 
-# Plain-float right-hand sides of free() and coulomb() for integrate_orbit.
-# Each is hamilton_rhs for its configuration with A absent, written out on six
-# floats in the same order of operations, so only the dot products x.x and
-# pi.pi round differently: they are summed left to right here, while numpy's
-# BLAS dot may fuse its multiply-adds.  Where numpy would overflow, divide by
-# zero or meet the pole, the float code raises an ArithmeticError or leaves a
-# non-finite state, and integrate_orbit redoes that step, and every later one,
-# through the generic right-hand side.  A dot product past _DOT_MAX raises too,
-# so that numpy's differently rounded one cannot overflow where the float sum
-# did not.
+# Plain-float RK4 steps of free() and coulomb() for integrate_orbit: make(m, c, h)
+# returns step(x0, x1, x2, p0, p1, p2) -> the six floats one classic RK4 step of
+# hamilton_rhs later, with A absent.  On free() V = 0 makes the renormalization
+# factor exactly 1, so u = p/m, p never changes, and x and p are bit for bit the
+# generic route's.  coulomb() writes its four stages out inline and regroups the
+# arithmetic: factor = 1 - s/(r H0), u = (factor/m) p, dp/dtau = g x with
+# g = -(s/(m c^2)) H0 factor / r**3, and x + h/6 (k1 + 2 (k2 + k3) + k4).  So it
+# rounds apart from hamilton_rhs by more than its two dot products; one step
+# stays within 1e-14 of the generic step, relative to |x| and |p|.  Where numpy
+# would overflow, divide by zero or meet the pole, the float code raises an
+# ArithmeticError or leaves a non-finite state, and integrate_orbit redoes that
+# step, and every later one, through the generic RK4.  A dot product past
+# _DOT_MAX raises too, so that numpy's differently rounded one cannot overflow
+# where the float sum did not.
 _DOT_MAX = 1e300
 
 
-def _free_plain_rhs(m: float, c: float):
-    c2, m2c4, mc = c**2, m**2 * c**4, m * c
+def _free_plain_step(m: float, c: float, h: float):
+    c2, m2c4, mc, h6 = c**2, m**2 * c**4, m * c, h / 6.0
 
-    def rhs(x0, x1, x2, p0, p1, p2):
+    def step(x0, x1, x2, p0, p1, p2):
         pp = p0 * p0 + p1 * p1 + p2 * p2
         if not pp < _DOT_MAX:
             raise OverflowError("pi.pi near the float range")
         H0 = math.sqrt(c2 * pp + m2c4)
-        factor = _renorm_factor(H0, 0.0)
-        dp = -0.0 * (H0 / mc / c) * factor
-        return factor * p0 / m, factor * p1 / m, factor * p2 / m, dp, dp, dp
+        # hamilton_rhs divides V = 0 by H0, and its dp/dtau = -0 * b/c is nan where b overflows
+        if not (H0 > 0.0 and H0 / mc / c < math.inf):
+            raise OverflowError("H0 is zero or b overflows")
+        u0, u1, u2 = p0 / m, p1 / m, p2 / m
+        return (x0 + h6 * (u0 + 2.0 * u0 + 2.0 * u0 + u0),
+                x1 + h6 * (u1 + 2.0 * u1 + 2.0 * u1 + u1),
+                x2 + h6 * (u2 + 2.0 * u2 + 2.0 * u2 + u2), p0, p1, p2)
 
-    return rhs
+    return step
 
 
-def _coulomb_plain_rhs(strength: float, m: float, c: float):
-    strength = float(strength)
-    c2, m2c4, mc = c**2, m**2 * c**4, m * c
+def _coulomb_plain_step(strength: float, m: float, c: float, h: float):
+    s = float(strength)
+    c2, m2c4, g_scale = c**2, m**2 * c**4, -(s / (m * c**2))
+    h2, h6 = 0.5 * h, h / 6.0
+    sqrt, dot_max, pole_tol = math.sqrt, _DOT_MAX, _POLE_TOL
 
-    def rhs(x0, x1, x2, p0, p1, p2):
+    def step(x0, x1, x2, p0, p1, p2):
+        # r**3, not r2 * r: its OverflowError hands the step over where numpy's would
+        # raise.  One assignment per name: a six-name tuple assignment builds a tuple
         r2 = x0 * x0 + x1 * x1 + x2 * x2
         pp = p0 * p0 + p1 * p1 + p2 * p2
-        if not (r2 < _DOT_MAX and pp < _DOT_MAX):
+        if not (r2 < dot_max and pp < dot_max):
             raise OverflowError("x.x or pi.pi near the float range")
-        r = math.sqrt(r2)
-        H0 = math.sqrt(c2 * pp + m2c4)
-        factor = _renorm_factor(H0, -strength / r)
-        b_c, r3 = H0 / mc / c, r**3
-        return (
-            factor * p0 / m, factor * p1 / m, factor * p2 / m,
-            -(strength * x0 / r3) * b_c * factor,
-            -(strength * x1 / r3) * b_c * factor,
-            -(strength * x2 / r3) * b_c * factor,
-        )
+        r = sqrt(r2)
+        H0 = sqrt(c2 * pp + m2c4)
+        factor = 1.0 - s / (r * H0)
+        if -pole_tol < factor < pole_tol:
+            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        fm = factor / m
+        g = g_scale * H0 * factor / r**3
+        k1x0 = fm * p0; k1x1 = fm * p1; k1x2 = fm * p2
+        k1p0 = g * x0; k1p1 = g * x1; k1p2 = g * x2
 
-    return rhs
+        y0 = x0 + h2 * k1x0; y1 = x1 + h2 * k1x1; y2 = x2 + h2 * k1x2
+        q0 = p0 + h2 * k1p0; q1 = p1 + h2 * k1p1; q2 = p2 + h2 * k1p2
+        r2 = y0 * y0 + y1 * y1 + y2 * y2
+        pp = q0 * q0 + q1 * q1 + q2 * q2
+        if not (r2 < dot_max and pp < dot_max):
+            raise OverflowError("x.x or pi.pi near the float range")
+        r = sqrt(r2)
+        H0 = sqrt(c2 * pp + m2c4)
+        factor = 1.0 - s / (r * H0)
+        if -pole_tol < factor < pole_tol:
+            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        fm = factor / m
+        g = g_scale * H0 * factor / r**3
+        k2x0 = fm * q0; k2x1 = fm * q1; k2x2 = fm * q2
+        k2p0 = g * y0; k2p1 = g * y1; k2p2 = g * y2
+
+        y0 = x0 + h2 * k2x0; y1 = x1 + h2 * k2x1; y2 = x2 + h2 * k2x2
+        q0 = p0 + h2 * k2p0; q1 = p1 + h2 * k2p1; q2 = p2 + h2 * k2p2
+        r2 = y0 * y0 + y1 * y1 + y2 * y2
+        pp = q0 * q0 + q1 * q1 + q2 * q2
+        if not (r2 < dot_max and pp < dot_max):
+            raise OverflowError("x.x or pi.pi near the float range")
+        r = sqrt(r2)
+        H0 = sqrt(c2 * pp + m2c4)
+        factor = 1.0 - s / (r * H0)
+        if -pole_tol < factor < pole_tol:
+            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        fm = factor / m
+        g = g_scale * H0 * factor / r**3
+        k3x0 = fm * q0; k3x1 = fm * q1; k3x2 = fm * q2
+        k3p0 = g * y0; k3p1 = g * y1; k3p2 = g * y2
+
+        y0 = x0 + h * k3x0; y1 = x1 + h * k3x1; y2 = x2 + h * k3x2
+        q0 = p0 + h * k3p0; q1 = p1 + h * k3p1; q2 = p2 + h * k3p2
+        r2 = y0 * y0 + y1 * y1 + y2 * y2
+        pp = q0 * q0 + q1 * q1 + q2 * q2
+        if not (r2 < dot_max and pp < dot_max):
+            raise OverflowError("x.x or pi.pi near the float range")
+        r = sqrt(r2)
+        H0 = sqrt(c2 * pp + m2c4)
+        factor = 1.0 - s / (r * H0)
+        if -pole_tol < factor < pole_tol:
+            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        fm = factor / m
+        g = g_scale * H0 * factor / r**3
+        return (x0 + h6 * (k1x0 + 2.0 * (k2x0 + k3x0) + fm * q0),
+                x1 + h6 * (k1x1 + 2.0 * (k2x1 + k3x1) + fm * q1),
+                x2 + h6 * (k1x2 + 2.0 * (k2x2 + k3x2) + fm * q2),
+                p0 + h6 * (k1p0 + 2.0 * (k2p0 + k3p0) + g * y0),
+                p1 + h6 * (k1p1 + 2.0 * (k2p1 + k3p1) + g * y1),
+                p2 + h6 * (k1p2 + 2.0 * (k2p2 + k3p2) + g * y2))
+
+    return step
 
 
 def integrate_orbit(
@@ -405,10 +468,14 @@ def integrate_orbit(
     Conserved quantities are recorded rather than enforced, so K drift is
     a direct diagnostic of the step size.  The state is six scalars.
     ``hamilton_rhs`` on the fields of :meth:`FieldConfiguration.free` or
-    :meth:`FieldConfiguration.coulomb` runs on plain floats; x and p then
-    differ from the generic route only by the rounding of two dot products.
-    Any other ``rhs`` is called on a :class:`PhaseState` and returns numpy
-    scalars, so numpy's ``errstate`` covers the whole step.  With A absent,
+    :meth:`FieldConfiguration.coulomb` takes one whole RK4 step per call on
+    plain floats.  On free() x and p are bit for bit the generic route's;
+    on coulomb() the step regroups the arithmetic of ``hamilton_rhs`` and
+    stays within 1e-14 of the generic step, relative to |x| and |p|.  Any
+    other ``rhs`` or fields, and a step the plain floats fail and every
+    later one, run the generic RK4: it calls ``rhs`` on a
+    :class:`PhaseState` and gets numpy scalars back, so numpy's
+    ``errstate`` covers the whole step.  With A absent,
     those two fields take K, H and b of all records from one array pass;
     other fields, and a pass that would warn or raise, go row by row.
     """
@@ -428,7 +495,7 @@ def integrate_orbit(
         pi = p if fields.vector is None else p - (e / c) * fields.A(x)
         return _generator_values_at(*_energies(x, pi, m, c, fields), m, c)
 
-    def record(tau, *xp):
+    def record(tau, xp):
         taus.append(tau)
         xps.extend(xp)
         if array_V is None:
@@ -448,60 +515,64 @@ def integrate_orbit(
         K, H, b = map(np.array, columns)
         return OrbitTrajectory(tau=np.array(taus), x=x, p=p, K=K, H=H, b=b)
 
-    def generic(x0, x1, x2, p0, p1, p2):
+    def f(x0, x1, x2, p0, p1, p2):  # rhs on a PhaseState: six numpy scalars
         st = PhaseState(x=np.array((x0, x1, x2)), p=np.array((p0, p1, p2)), m=m, e=e, units=units)
         u, dp = rhs(st, fields)
         return (*u, *dp)
 
-    f = generic
-    if rhs is hamilton_rhs and fields.vector is None and fields._plain_rhs is not None:
-        # Python floats in the loop: numpy scalars are slower and warn where they do not
+    def generic(x0, x1, x2, p0, p1, p2):  # one RK4 step through f
         try:
-            f = fields._plain_rhs(float(m), float(c))
-        except ArithmeticError:  # m or c beyond the float range of m**2 c**4
-            pass
-    x0, x1, x2, p0, p1, p2 = *state0.x.tolist(), *state0.p.tolist()
-    record(state0.tau, x0, x1, x2, p0, p1, p2)
+            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
+            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
+                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
+                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
+            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
+                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
+                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
+            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
+                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
+                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
+        except (RenormalizationPoleError, FloatingPointError) as exc:
+            raise IntegrationAbort(k, str(exc)) from exc
+        xp = (x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0),
+              x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1),
+              x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2),
+              p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0),
+              p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1),
+              p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2))
+        # one component at a time: their sum can overflow while each is finite
+        if not all(map(math.isfinite, xp)):
+            raise IntegrationAbort(k, "state overflowed")
+        return xp
+
     h = float(dtau)
     h2, h6 = 0.5 * h, h / 6.0
+    step = generic
+    if rhs is hamilton_rhs and fields.vector is None and fields._plain_step is not None:
+        # Python floats in the loop: numpy scalars are slower and warn where they do not
+        try:
+            step = fields._plain_step(float(m), float(c), h)
+        except ArithmeticError:  # m or c beyond the float range of m**2 c**4
+            pass
+    xp = (*state0.x.tolist(), *state0.p.tolist())
+    record(state0.tau, xp)
     k = 0
     try:
         while k < n_steps:
             try:
-                k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
-                k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
-                    x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
-                    p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
-                k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
-                    x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
-                    p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
-                k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
-                    x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
-                    p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
-            except ArithmeticError as exc:
-                if f is not generic:  # redo the step through the generic right-hand side
-                    f = generic
-                    continue
-                if isinstance(exc, (RenormalizationPoleError, FloatingPointError)):
-                    raise IntegrationAbort(k, str(exc)) from exc
-                raise
-            nx0 = x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0)
-            nx1 = x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
-            nx2 = x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
-            np0 = p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0)
-            np1 = p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1)
-            np2 = p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2)
-            if f is generic:
-                # one component at a time: their sum can overflow while each is finite
-                if not all(map(math.isfinite, (nx0, nx1, nx2, np0, np1, np2))):
-                    raise IntegrationAbort(k, "state overflowed")
-            elif not math.isfinite(nx0 + nx1 + nx2 + np0 + np1 + np2):
-                f = generic
+                xp_next = step(*xp)
+                finite = step is generic or math.isfinite(sum(xp_next))
+            except ArithmeticError:
+                if step is generic:
+                    raise
+                finite = False
+            if not finite:  # redo this step, and every later one, through generic
+                step = generic
                 continue
-            x0, x1, x2, p0, p1, p2 = nx0, nx1, nx2, np0, np1, np2
+            xp = xp_next
             k += 1
             if k % record_every == 0 or k == n_steps:
-                record(state0.tau + k * dtau, x0, x1, x2, p0, p1, p2)
+                record(state0.tau + k * dtau, xp)
     except Exception:
         trajectory()  # the records made so far: one that raises goes first
         raise

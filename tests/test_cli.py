@@ -208,6 +208,35 @@ class TestConfigValidation:
         assert len(proc.stderr.splitlines()) == 1
         assert "numerical failure" in proc.stderr
 
+    # sizes numpy refuses before allocating anything; a size it would try to
+    # allocate (10**13 floats) can succeed on a host that overcommits memory
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "nbody", "n": 10**30},
+            {"scenario": "fields", "charge": 1.0, "u": [0.5, 0.0, 0.0], "points": 10**30},
+            {"scenario": "spectral", "width_over_compton": 2.0, "points": 10**30},
+        ],
+        ids=["nbody-n", "fields-points", "spectral-points"],
+    )
+    def test_unindexable_size_exits_3_with_one_line(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, "huge.json", payload)
+        assert main([payload["scenario"], "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"numerical failure in {payload['scenario']}: MemoryError" in err
+
+    def test_memory_error_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def scenario(params, units, seed):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setitem(SCENARIOS, "redshift", (scenario, SCENARIOS["redshift"][1]))
+        path = write_config(tmp_path, "cfg.json", {"scenario": "redshift"})
+        assert main(["redshift", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "numerical failure in redshift: MemoryError: Unable to allocate 72.8 TiB"]
+
 
 def test_verify_has_no_units_option():
     with pytest.raises(SystemExit) as exc:

@@ -502,9 +502,9 @@ class TestBracketChain:
 
 
 # ------------------------------------------------ plain-float and generic routes
-# integrate_orbit runs hamilton_rhs on free() and coulomb() fields through a
-# plain-float right-hand side; the same potentials rebuilt from their public
-# callables go through the generic right-hand side, which stays the reference.
+# integrate_orbit runs hamilton_rhs on free() and coulomb() fields as one
+# plain-float RK4 step per call; the same potentials rebuilt from their public
+# callables go through the generic RK4 over hamilton_rhs, which stays the reference.
 
 
 @pytest.fixture
@@ -617,6 +617,51 @@ def test_records_equal_their_functions_over_many_orbits():
     assert records > 9000
 
 
+def test_sweep_stays_on_the_plain_route_and_free_orbits_are_the_generic_ones(count_states):
+    # no orbit of the sweep hands a step over, close approaches included; a
+    # whole Coulomb orbit is not compared, since an RK4 run amplifies the
+    # step's rounding (close approaches end up to 2e-7 of the largest |x| apart)
+    free = 0
+    for st, fields, dtau, n_steps, every in sweep_orbits():
+        fast, made = count_states(
+            lambda: integrate_orbit(st, fields, dtau, n_steps, record_every=every))
+        assert made == 0
+        if fields is FREE:
+            slow = integrate_orbit(st, generic(FREE), dtau, n_steps, record_every=every)
+            np.testing.assert_array_equal(fast.x, slow.x)
+            np.testing.assert_array_equal(fast.p, slow.p)
+            free += 1
+    assert free > 100
+
+
+def test_one_plain_coulomb_step_is_the_generic_step_to_rounding(count_states):
+    # the plain step regroups hamilton_rhs's arithmetic, so it rounds apart
+    # from the generic step; on 4,000 states from half the critical radius
+    # s/(m c^2) to 100 times it, x and p agree within 1e-14 of |x| and |p|
+    rng = np.random.default_rng(3)
+    worst, made = 0.0, 0
+    for i in range(4000):
+        c = (1.0, 2.5)[i % 2]
+        m, strength = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        r = strength / (m * c * c) * math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+        circular = math.sqrt(strength / (m * r))
+        speed = circular * rng.uniform(0.0, 2.0)
+        direction = rng.normal(size=(2, 3))
+        st = PhaseState(r * direction[0] / np.linalg.norm(direction[0]),
+                        m * speed * direction[1] / np.linalg.norm(direction[1]),
+                        m=m, units=UnitSystem(c=c))
+        dtau = rng.uniform(1e-4, 0.05) * r / max(speed, circular)
+        fields = FieldConfiguration.coulomb(strength)
+        fast, states = count_states(lambda: integrate_orbit(st, fields, dtau, 1))
+        slow = integrate_orbit(st, generic(fields), dtau, 1)
+        made += states
+        worst = max(worst,
+                    np.linalg.norm(fast.x[1] - slow.x[1]) / np.linalg.norm(slow.x[1]),
+                    np.linalg.norm(fast.p[1] - slow.p[1]) / np.linalg.norm(slow.p[1]))
+    assert made == 0
+    assert 0.0 < worst <= 1e-14
+
+
 def test_generator_values_round_alike_on_floats_and_arrays():
     # the record pass runs the scalar functions' formula on arrays.  About 1 in
     # 1,200 floats has V**2 != V * V (pow against a product), and near H = 0 the
@@ -683,8 +728,8 @@ def test_other_orbits_take_the_unchanged_generic_route(count_states, st, fields,
     ("grad_scalar", lambda x: 2.0 * x / math.sqrt(x @ x) ** 3),
 ], ids=["vector", "scalar", "grad_scalar"])
 def test_fields_cannot_change_in_place(count_states, name, value):
-    # the plain right-hand side is coulomb(1)'s: a field can only change in a
-    # copy, and replace() leaves the plain right-hand side behind
+    # the plain step is coulomb(1)'s: a field can only change in a copy, and
+    # replace() leaves the plain step behind
     fields = FieldConfiguration.coulomb(1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(fields, name, value)
@@ -724,7 +769,7 @@ def abort(step):
         (FREE, PhaseState([1e308, 0, 0], [1.0, 0.0, 0.0], m=1.0), 1e307, 20, hamilton_rhs,
          [abort(7), (RuntimeWarning, None), abort(7)]),
         # the plain-float finiteness test sums x and p, which overflows at step
-        # 9; the generic right-hand side redoes that step and finishes the orbit
+        # 9; the generic RK4 redoes that step and finishes the orbit
         (FREE, PhaseState([8e307, 8e307, 0], [1.0, 1.0, 0.0], m=1.0), 1e306, 20, hamilton_rhs,
          ["91a76f41da377f87"] * 3),
         # p overflows in the weak-coupling force
@@ -748,5 +793,5 @@ def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, rhs, en
             return type(exc), getattr(exc, "step", None)
 
     expected = ends[["ignore", "warn", "raise"].index(errstate)]
-    # replace() keeps every callable and drops the plain-float right-hand side
+    # replace() keeps every callable and drops the plain-float step
     assert outcome(fields) == outcome(dataclasses.replace(fields)) == expected
