@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, IntegrationAbort, RenormalizationPoleError
-from .kinematics import NATURAL, UnitSystem, _cross, _vec
+from .kinematics import NATURAL, UnitSystem, _cross, _dot, _vec
 
 __all__ = [
     "FieldConfiguration",
@@ -57,11 +57,6 @@ __all__ = [
 
 _POLE_TOL = 1e-14
 _FD_STEP = 1e-6
-
-
-def _row_dots(v: np.ndarray) -> np.ndarray:
-    """v[i] @ v[i] for every row, each by the same BLAS dot as that product."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _curl(jac: np.ndarray) -> np.ndarray:
@@ -147,7 +142,7 @@ class FieldConfiguration:
 
         conf = cls(scalar=V, grad_scalar=grad)
         object.__setattr__(conf, "_plain_step", functools.partial(_coulomb_plain_step, strength))
-        object.__setattr__(conf, "_array_V", lambda x: -strength / np.sqrt(_row_dots(x)))
+        object.__setattr__(conf, "_array_V", lambda x: -strength / np.sqrt(_dot(x, x)))
         return conf
 
 
@@ -466,18 +461,19 @@ def integrate_orbit(
     """Classic RK4 over the proper-time equations of motion.
 
     Conserved quantities are recorded rather than enforced, so K drift is
-    a direct diagnostic of the step size.  The state is six scalars.
+    a direct diagnostic of the step size.  The state is six floats.
     ``hamilton_rhs`` on the fields of :meth:`FieldConfiguration.free` or
     :meth:`FieldConfiguration.coulomb` takes one whole RK4 step per call on
     plain floats.  On free() x and p are bit for bit the generic route's;
     on coulomb() the step regroups the arithmetic of ``hamilton_rhs`` and
     stays within 1e-14 of the generic step, relative to |x| and |p|.  Any
     other ``rhs`` or fields, and a step the plain floats fail and every
-    later one, run the generic RK4: it calls ``rhs`` on a
-    :class:`PhaseState` and gets numpy scalars back, so numpy's
-    ``errstate`` covers the whole step.  With A absent,
-    those two fields take K, H and b of all records from one array pass;
-    other fields, and a pass that would warn or raise, go row by row.
+    later one, run the generic RK4: one step on the six-vector (x, p) as a
+    float array, calling ``rhs`` on a :class:`PhaseState` at each stage, so
+    numpy's ``errstate`` covers the whole step.  The loop records tau, x and
+    p; K, H and b of all records are evaluated once it ends.  With A absent,
+    those two fields take them from one array pass; other fields, and a
+    pass that would warn or raise, go row by row.
     """
     if not (math.isfinite(dtau) and dtau > 0.0):
         raise DomainError(f"dtau must be finite and positive, got {dtau}")
@@ -488,7 +484,7 @@ def integrate_orbit(
     m, e, units = state0.m, state0.e, state0.units
     c = units.c
     array_V = fields._array_V if fields.vector is None else None
-    taus, xps, rows = [], [], []  # per record: tau, x and p as six floats, (K, H, b)
+    taus, xps = [], []  # per record: tau, and x and p as six floats
 
     def values(x, p):  # (K, H, b) of one record, as canonical_K etc. take it
         # with A absent pi is p up to the signs of zeros, which pi @ pi ignores
@@ -498,48 +494,37 @@ def integrate_orbit(
     def record(tau, xp):
         taus.append(tau)
         xps.extend(xp)
-        if array_V is None:
-            rows.append(values(*np.array(xp).reshape(2, 3)))
 
-    def trajectory():
+    def trajectory():  # K, H and b of every record, evaluated here
         x, p = np.fromiter(xps, float).reshape(-1, 2, 3).swapaxes(0, 1).copy()
-        columns = zip(*rows)
+        columns = None
         if array_V is not None:
             try:
                 with np.errstate(all="raise"):
-                    pp = _row_dots(p)
+                    pp = _dot(p, p)
                     H0 = np.sqrt(c**2 * pp + m**2 * c**4)
                     columns = _generator_values_at(pp, H0, array_V(x), m, c)
-            except ArithmeticError:  # row by row, under the caller's errstate
-                columns = zip(*map(values, x, p))
+            except ArithmeticError:
+                pass
+        if columns is None:  # row by row, under the caller's errstate
+            columns = zip(*map(values, x, p))
         K, H, b = map(np.array, columns)
         return OrbitTrajectory(tau=np.array(taus), x=x, p=p, K=K, H=H, b=b)
 
-    def f(x0, x1, x2, p0, p1, p2):  # rhs on a PhaseState: six numpy scalars
-        st = PhaseState(x=np.array((x0, x1, x2)), p=np.array((p0, p1, p2)), m=m, e=e, units=units)
-        u, dp = rhs(st, fields)
-        return (*u, *dp)
+    def f(y):  # rhs on a PhaseState
+        u, dp = rhs(PhaseState(x=y[:3], p=y[3:], m=m, e=e, units=units), fields)
+        return np.concatenate((u, dp))
 
-    def generic(x0, x1, x2, p0, p1, p2):  # one RK4 step through f
+    def generic(*xp):  # one RK4 step through f
+        y = np.array(xp)
         try:
-            k1x0, k1x1, k1x2, k1p0, k1p1, k1p2 = f(x0, x1, x2, p0, p1, p2)
-            k2x0, k2x1, k2x2, k2p0, k2p1, k2p2 = f(
-                x0 + h2 * k1x0, x1 + h2 * k1x1, x2 + h2 * k1x2,
-                p0 + h2 * k1p0, p1 + h2 * k1p1, p2 + h2 * k1p2)
-            k3x0, k3x1, k3x2, k3p0, k3p1, k3p2 = f(
-                x0 + h2 * k2x0, x1 + h2 * k2x1, x2 + h2 * k2x2,
-                p0 + h2 * k2p0, p1 + h2 * k2p1, p2 + h2 * k2p2)
-            k4x0, k4x1, k4x2, k4p0, k4p1, k4p2 = f(
-                x0 + h * k3x0, x1 + h * k3x1, x2 + h * k3x2,
-                p0 + h * k3p0, p1 + h * k3p1, p2 + h * k3p2)
+            k1 = f(y)
+            k2 = f(y + h2 * k1)
+            k3 = f(y + h2 * k2)
+            k4 = f(y + h * k3)
         except (RenormalizationPoleError, FloatingPointError) as exc:
             raise IntegrationAbort(k, str(exc)) from exc
-        xp = (x0 + h6 * (k1x0 + 2.0 * k2x0 + 2.0 * k3x0 + k4x0),
-              x1 + h6 * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1),
-              x2 + h6 * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2),
-              p0 + h6 * (k1p0 + 2.0 * k2p0 + 2.0 * k3p0 + k4p0),
-              p1 + h6 * (k1p1 + 2.0 * k2p1 + 2.0 * k3p1 + k4p1),
-              p2 + h6 * (k1p2 + 2.0 * k2p2 + 2.0 * k3p2 + k4p2))
+        xp = (y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
         # one component at a time: their sum can overflow while each is finite
         if not all(map(math.isfinite, xp)):
             raise IntegrationAbort(k, "state overflowed")
@@ -630,9 +615,9 @@ def lagrangian(x, u, fields: FieldConfiguration, m: float, e: float = 0.0,
     u = _vec(u)
     c = units.c
     V = fields.V(x)
-    mt = _solve_mass_ratio(float(u @ u), V / (m * c), m, c)
-    b = math.sqrt(c**2 + mt**2 * (u @ u) / m**2)
     u2 = u @ u
+    mt = _solve_mass_ratio(float(u2), V / (m * c), m, c)
+    b = math.sqrt(c**2 + mt**2 * u2 / m**2)
     value = (
         mt * u2
         - 0.5 * mt * u2 * (mt / m)

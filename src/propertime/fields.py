@@ -55,7 +55,7 @@ from .errors import (
     RetardationError,
     SingularGeometryError,
 )
-from .kinematics import NATURAL, UnitSystem, _cross, _vec
+from .kinematics import NATURAL, UnitSystem, _cross, _dot, _vec
 from .spectral import _gauss_legendre_20
 
 __all__ = [
@@ -239,15 +239,6 @@ class FieldGeometry:
     b: np.ndarray
 
 
-def _dot(a, b):
-    """a . b over the last axis, broadcasting the leading axes.
-
-    One (1, 3) @ (3, 1) product per point, the same dot as ``a @ b`` on
-    two 3-vectors (``einsum`` and ``sum`` round differently).
-    """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _col(v):
     """v with a trailing axis, to scale the rows of a (..., 3) array."""
     return np.asarray(v)[..., None]
@@ -374,9 +365,7 @@ def _on_worldline(x, xbar) -> bool:
 
 
 def _closed_form_retarded(x, tau: float, traj: SourceTrajectory):
-    """tau' at every point of x (..., 3) on a source with a closed-form solve."""
-    if not traj.tau_min <= tau <= traj.tau_max:
-        raise RetardationError(f"tau = {tau} outside trajectory interval")
+    """tau' at every point of x (..., 3) on static() or uniform(), which span all tau."""
     if _on_worldline(x, traj.position(tau)):
         raise DegenerateGeometryError("field point lies on the source worldline")
     tau_ret = traj._retarded(x, tau)
@@ -644,16 +633,10 @@ def effective_photon_mass(
         (u @ u_ddot + u_dot @ u_dot) / (2.0 * b**4)
         - 5.0 * (u @ u_dot) ** 2 / (4.0 * b**6)
     )
-    if bracket_ex >= 0.0:
-        return PhotonMassResult(
-            bracket_b_form=float(bracket_b),
-            bracket_explicit=float(bracket_ex),
-            mu=math.sqrt(bracket_ex),
-            imaginary=False,
-        )
+    mu = math.sqrt(bracket_ex) if bracket_ex >= 0.0 else None
     return PhotonMassResult(
         bracket_b_form=float(bracket_b),
         bracket_explicit=float(bracket_ex),
-        mu=None,
-        imaginary=True,
+        mu=mu,
+        imaginary=mu is None,
     )

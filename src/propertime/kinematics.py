@@ -80,6 +80,15 @@ def _cross(a, b):
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
+def _dot(a, b):
+    """a . b over the last axis, broadcasting the leading axes.
+
+    One (1, 3) @ (3, 1) product per point, the same dot as ``a @ b`` on
+    two 3-vectors (``einsum`` and ``sum`` round differently).
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def gamma(w, units: UnitSystem = NATURAL) -> float:
     r"""Lorentz factor :math:`\gamma(w) = 1/\sqrt{1 - w^2/c^2}`.
 

@@ -321,6 +321,35 @@ def test_malformed_config_exits_2(tmp_path, capsys, payload, named):
     assert named in capsys.readouterr().err
 
 
+def one_config_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({**FIELDS, "tau": math.inf}, "'tau'"),
+        ({"scenario": "rest_source", "v": [math.inf, 0.0, 0.0]}, "'v'"),
+        ({"scenario": "rest_source", "v": [math.nan, 0.0, 0.0]}, "'v'"),
+    ],
+    ids=["infinite-float", "infinite-vector", "nan-vector"],
+)
+def test_non_finite_value_exits_2(tmp_path, capsys, payload, named):
+    # json writes and reads these as the non-standard tokens Infinity and NaN
+    path = write_config(tmp_path, "bad.json", payload)
+    assert main([payload["scenario"].replace("_", "-"), "--config", path]) == 2
+    line = one_config_error(capsys)
+    assert named in line and "must be finite" in line
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nowhere.json")
+    assert main(["redshift", "--config", missing]) == 2
+    assert "nowhere.json" in one_config_error(capsys)
+
+
 EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 + 1e-9, 1.0 - 1e-9)
 
 
@@ -530,6 +559,19 @@ class TestMainEntry:
             args += ["--config", c]
         assert main(args) == 0
         for i in (1, 2, 3):
+            assert (tmp_path / f"r{i}.csv").exists()
+
+    def test_invalid_config_between_valid_ones(self, tmp_path, capsys):
+        # the invalid config is reported once, and the two around it still run
+        good = [
+            write_config(tmp_path, f"r{i}.json", {"scenario": "redshift", "w": [0.1 * i, 0.0, 0.0],
+                                                  "out": str(tmp_path / f"r{i}.csv")})
+            for i in (1, 2)
+        ]
+        bad = write_config(tmp_path, "bad.json", {"scenario": "redshift", "w": [math.inf, 0.0, 0.0]})
+        assert main(["redshift", "--config", good[0], "--config", bad, "--config", good[1]]) == 2
+        assert "'w'" in one_config_error(capsys)
+        for i in (1, 2):
             assert (tmp_path / f"r{i}.csv").exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):

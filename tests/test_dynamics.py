@@ -741,6 +741,7 @@ def test_fields_cannot_change_in_place(count_states, name, value):
 
 ORIGIN = PhaseState([0.0, 0.0, 0.0], [0.1, 0.0, 0.0], m=1.0)
 VECTOR = dataclasses.replace(FREE, vector=lambda x: 0.35 * np.array([-x[1], x[0], 0.0]))
+HALF = PhaseState([0.5, 0, 0], [0.0, 0.0, 0.0], m=1.0)
 
 
 def abort(step):
@@ -778,9 +779,38 @@ def abort(step):
         # pi.pi overflows at step 1 in a uniform magnetic field
         (VECTOR, PhaseState([3.0, 0, 0], [0.0, 1e152, 0.0], m=1.0, e=0.8), 10.0, 20,
          hamilton_rhs, [abort(1), (RuntimeWarning, None), abort(1)]),
+        # each case below stops the first plain step at one of its guards, so
+        # the generic RK4 runs the whole orbit on both routes
+        # free: pi.pi reaches _DOT_MAX
+        (FREE, PhaseState([0.0, 0, 0], [1e151, 0.0, 0.0], m=1.0), 1.0, 5, hamilton_rhs,
+         ["1340c102f2d1a1c8"] * 3),
+        # free: b = H0/(m c) overflows
+        (FREE, PhaseState([0.0, 0, 0], [1e10, 0.0, 0.0], m=1e-300), 0.1, 5, hamilton_rhs,
+         [abort(0), (RuntimeWarning, None), (FloatingPointError, None)]),
+        # free: b/c overflows while u = p/m does not, so only this guard stops
+        # the plain step, and hamilton_rhs's dp/dtau = -0 * b/c is nan
+        (FREE, PhaseState([0.0, 0, 0], [5e149, 0.0, 0.0], m=1.0, units=UnitSystem(c=1e-160)),
+         0.1, 5, hamilton_rhs, [abort(0), (RuntimeWarning, None), abort(0)]),
+        # Coulomb poles at stages 1 to 4: V = -H0 at rest at r = 1, and from rest
+        # at r = 1/2 after the dtau that brings the stage onto the pole
+        (COULOMB, PhaseState([1.0, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
+         [abort(0)] * 3),
+        # r H0 = 1 to rounding, and a dtau so long that stage 2 is far off the pole
+        (COULOMB, PhaseState([0.7071067811865476, 0, 0], [0.0, 1.0, 0.0], m=1.0), 1e13, 5,
+         hamilton_rhs, [abort(0)] * 3),
+        (COULOMB, HALF, 0.8660254037844365, 5, hamilton_rhs, [abort(0)] * 3),
+        (COULOMB, HALF, 1.109806036314047, 5, hamilton_rhs, [abort(0)] * 3),
+        (COULOMB, HALF, 0.7225373595759974, 5, hamilton_rhs, [abort(0)] * 3),
+        # Coulomb: x.x or pi.pi reaches _DOT_MAX at stage 3 and at stage 4
+        (COULOMB, PhaseState([1e55, 0, 0], [0.0, 0.0, 0.0], m=1.0), 1e142, 5, hamilton_rhs,
+         ["d1f6f5820ae6cace", (RuntimeWarning, None), abort(0)]),
+        (COULOMB, PhaseState([1e-20, 0, 0], [0.0, 0.0, 0.0], m=1.0), 1e19, 5, hamilton_rhs,
+         ["66b0a51870cd2532", (RuntimeWarning, None), abort(0)]),
     ],
     ids=["origin", "momentum-overflow", "radius-cubed", "far", "free-position-overflow",
-         "hand-over-midway", "approximate-rhs", "vector"],
+         "hand-over-midway", "approximate-rhs", "vector", "free-momentum-dot",
+         "free-b-overflow", "free-b-over-c-overflow", "pole-stage-1", "pole-stage-1-only",
+         "pole-stage-2", "pole-stage-3", "pole-stage-4", "dot-stage-3", "dot-stage-4"],
 )
 def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, rhs, ends, errstate):
     def outcome(conf):

@@ -12,7 +12,12 @@ from oracles import (
     retarded_time_sine_line,
 )
 from propertime import fields
-from propertime.errors import DegenerateGeometryError, DomainError, RetardationError
+from propertime.errors import (
+    DegenerateGeometryError,
+    DomainError,
+    RetardationError,
+    SingularGeometryError,
+)
 from propertime.fields import (
     SourceTrajectory,
     dissipative_coefficient,
@@ -79,6 +84,21 @@ class TestRetardedTime:
         )
         with pytest.raises(RetardationError):
             retarded_time(np.array([5.0, 0, 0]), 1.0, traj)
+
+    def test_fields_past_the_end_of_the_samples(self):
+        traj = SourceTrajectory.from_samples(
+            1.0, np.linspace(0.0, 1.0, 20), np.zeros((20, 3))
+        )
+        with pytest.raises(RetardationError):
+            fields_at(np.array([0.5, 0, 0]), 1.5, traj)
+
+    @pytest.mark.parametrize("grid, positions", [
+        ([0.0, 1.0, 1.0, 2.0], np.zeros((4, 3))),
+        (np.linspace(0.0, 1.0, 5), np.zeros((5, 2))),
+    ], ids=["non-increasing-grid", "positions-shape"])
+    def test_samples_rejected(self, grid, positions):
+        with pytest.raises(DomainError):
+            SourceTrajectory.from_samples(1.0, grid, positions)
 
 
 def test_fast_sources_seen_from_ahead_match_the_decimal_root():
@@ -496,6 +516,17 @@ class TestFieldGeometry:
         geom = field_geometry(np.array([2.0, 0, 0]), 0.0, traj)
         # s = r (1 - |u|/b) with b = 1.25
         assert geom.s == pytest.approx(2.0 * 0.4, rel=1e-14)
+
+    def test_point_on_the_worldline(self):
+        traj = SourceTrajectory.static(1.0, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DegenerateGeometryError):
+            field_geometry(np.array([1.0, 2.0, 3.0]), 0.0, traj)
+
+    def test_retardation_scale_rounds_to_zero(self):
+        # b = sqrt(1 + 1e40) rounds to |u| = 1e20, so s = r - r.u/b is 0 ahead of the source
+        traj = SourceTrajectory.uniform(1.0, np.zeros(3), np.array([1e20, 0.0, 0.0]))
+        with pytest.raises(SingularGeometryError):
+            field_geometry(np.array([1e25, 0.0, 0.0]), 0.0, traj)
 
 
 class TestElectricField:

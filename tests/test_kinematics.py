@@ -115,6 +115,10 @@ class TestCollaborativeSpeed:
         w = observer_from_proper(u)
         np.testing.assert_allclose(w, u / collaborative_speed(u), rtol=1e-15)
 
+    def test_rejects_a_two_vector(self):
+        with pytest.raises(DomainError):
+            collaborative_speed([1.0, 2.0])
+
 
 class TestElapsedObserverTime:
     def test_rest_source(self):
@@ -145,6 +149,10 @@ class TestElapsedObserverTime:
     def test_rejects_subluminal_b(self):
         with pytest.raises(DomainError):
             elapsed_observer_time([0.0, 1.0, 2.0], [1.0, 0.99, 1.0])
+
+    def test_rejects_mismatched_grids(self):
+        with pytest.raises(DomainError):
+            elapsed_observer_time([0.0, 1.0, 2.0], [1.0, 1.0])
 
 
 class TestKinematicState:

@@ -31,6 +31,16 @@ def two_body(p1, p2, m1=1.0, m2=1.0, x1=(0, 0, 0), x2=(1, 0, 0)):
     return ParticleSystem(masses=[m1, m2], xs=[list(x1), list(x2)], ps=[list(p1), list(p2)])
 
 
+class TestParticleSystem:
+    def test_rejects_non_positive_mass(self):
+        with pytest.raises(DomainError):
+            ParticleSystem(masses=[1.0, 0.0], xs=np.zeros((2, 3)), ps=np.zeros((2, 3)))
+
+    def test_rejects_positions_of_the_wrong_shape(self):
+        with pytest.raises(DomainError):
+            ParticleSystem(masses=[1.0, 2.0], xs=np.zeros((2, 2)), ps=np.zeros((2, 3)))
+
+
 class TestSystemInvariants:
     def test_single_free_particle(self):
         sys = single_free(p=(0.3, 0.0, 0.0), m=1.2)

@@ -87,6 +87,11 @@ def test_line_kernel_symbol_matches_square_root():
         assert 1.0 + val == pytest.approx(math.sqrt(k**2 + 1.0), rel=1e-9)
 
 
+def test_line_kernel_rejects_zero_offset():
+    with pytest.raises(DomainError):
+        line_kernel_weight(0.0, PARAMS)
+
+
 class TestOperatorApplication:
     def test_linearity_zero(self):
         psi = RadialGridFunction(np.linspace(-10, 10, 64, endpoint=False), np.zeros(64))
@@ -104,6 +109,18 @@ class TestOperatorApplication:
             / np.sum(via_fft.values**2)
         )
         assert err < 1e-3
+
+    def test_complex_values_apply_part_by_part(self):
+        # one complex transform is the real and imaginary parts applied apart,
+        # and a plane wave meets the momentum-space oracle as a real one does
+        wave = RadialGridFunction.plane_wave(128, 40.0, 5)
+        op = SqrtOperator1D(PARAMS, wave.n, wave.spacing)
+        out = op.apply(wave.values)
+        assert np.iscomplexobj(out)
+        parts = op.apply(wave.values.real) + 1j * op.apply(wave.values.imag)
+        assert np.max(np.abs(out - parts)) <= 1e-12
+        ref = momentum_oracle(wave, PARAMS).values
+        assert np.sqrt(np.sum(np.abs(out - ref) ** 2) / np.sum(np.abs(ref) ** 2)) < 1e-3
 
     def test_wide_gaussian_nonrelativistic_expansion(self):
         width = 10.0
@@ -228,3 +245,7 @@ class TestRadialGridFunction:
     def test_norm(self):
         f = RadialGridFunction(np.linspace(0, 9, 10), np.ones(10))
         assert f.norm_sq() == pytest.approx(10.0)
+
+    def test_rejects_values_off_the_grid(self):
+        with pytest.raises(DomainError):
+            RadialGridFunction(np.array([0.0, 1.0, 2.0]), np.zeros(4))
