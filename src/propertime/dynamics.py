@@ -470,7 +470,9 @@ def integrate_orbit(
     other ``rhs`` or fields, and a step the plain floats fail and every
     later one, run the generic RK4: one step on the six-vector (x, p) as a
     float array, calling ``rhs`` on a :class:`PhaseState` at each stage, so
-    numpy's ``errstate`` covers the whole step.  The loop records tau, x and
+    numpy's ``errstate`` covers the whole step; a pole, a
+    ``FloatingPointError`` or an ``OverflowError`` in one of its stages
+    raises ``IntegrationAbort`` with the step.  The loop records tau, x and
     p; K, H and b of all records are evaluated once it ends.  With A absent,
     those two fields take them from one array pass; other fields, and a
     pass that would warn or raise, go row by row.
@@ -522,7 +524,7 @@ def integrate_orbit(
             k2 = f(y + h2 * k1)
             k3 = f(y + h2 * k2)
             k4 = f(y + h * k3)
-        except (RenormalizationPoleError, FloatingPointError) as exc:
+        except (RenormalizationPoleError, FloatingPointError, OverflowError) as exc:
             raise IntegrationAbort(k, str(exc)) from exc
         xp = (y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
         # one component at a time: their sum can overflow while each is finite

@@ -33,15 +33,16 @@ of the gap :math:`\int_{\tau'}^{\tau} b\,ds - |\mathbf{r}|`, which is
 :math:`-(b/r)\,s < 0`, inside a bracket, with bisection as the fallback,
 to the tolerance :math:`10^{-12}\max(1, |\tau|)`, once per point.  The
 path integral comes from a cumulative per-knot Gauss-Legendre table for a
-sampled source.  For a worldline given only by callables, whose velocity
-may jump or kink, it is a running sum over the iterates of halved
-Gauss-Lobatto panels; each panel rule calls the velocity once with its 20
-nodes as an array of tau, and falls back to one scalar call per node when
-the velocity does not take arrays.
+sampled source, a not-a-knot cubic spline.  For a worldline given only by
+callables, whose velocity may jump or kink, it is a running sum over the
+iterates of halved Gauss-Lobatto panels; each panel rule calls the
+velocity once with its 20 nodes as an array of tau, and falls back to one
+scalar call per node when the velocity does not take arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -150,47 +151,53 @@ class SourceTrajectory:
     def from_samples(
         cls, e: float, tau_grid, positions, units: UnitSystem = NATURAL
     ) -> "SourceTrajectory":
-        """Cubic-spline worldline through sampled positions.
+        """Not-a-knot cubic-spline worldline through sampled positions.
 
-        Velocity and acceleration come from the spline derivatives; the
-        grid must be strictly increasing and resolution is the caller's
-        responsibility.
+        Velocity and acceleration come from the spline derivatives; beyond
+        either end of the grid the end cubics extrapolate.  The grid needs
+        at least two finite, strictly increasing values and finite
+        positions, or ``DomainError`` is raised; resolution is the
+        caller's responsibility.
         """
         tau_grid = np.asarray(tau_grid, dtype=float)
         positions = np.asarray(positions, dtype=float)
-        if tau_grid.ndim != 1 or np.any(np.diff(tau_grid) <= 0.0):
-            raise DomainError("sample grid must be strictly increasing")
+        if tau_grid.ndim != 1 or tau_grid.size < 2:
+            raise DomainError("sample grid must hold at least two values")
+        if not np.isfinite(tau_grid).all() or np.any(np.diff(tau_grid) <= 0.0):
+            raise DomainError("sample grid must be finite and strictly increasing")
         if positions.shape != (tau_grid.size, 3):
             raise DomainError("positions must have shape (len(tau_grid), 3)")
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(tau_grid, positions, axis=0)
-        d1 = spline.derivative(1)
-        d2 = spline.derivative(2)
+        if not np.isfinite(positions).all():
+            raise DomainError("sampled positions must be finite")
+        spline = _not_a_knot_table(tau_grid, positions)
+        velocity = spline[:, :3] * np.array([[3.0], [2.0], [1.0]])
         traj = cls(
             e=e,
-            position=lambda tau: spline(tau),
-            velocity=lambda tau: d1(tau),
-            acceleration=lambda tau: d2(tau),
+            position=_spline_evaluator(tau_grid, spline),
+            velocity=_spline_evaluator(tau_grid, velocity),
+            acceleration=_spline_evaluator(tau_grid, spline[:, :2] * np.array([[6.0], [2.0]])),
             tau_min=float(tau_grid[0]),
             tau_max=float(tau_grid[-1]),
             units=units,
         )
         # int b ds from tau_grid[0]: one 20-point Gauss-Legendre rule per knot
         # interval, where u is a quadratic, cumulated once, plus the partial
-        # interval up to t
+        # interval up to t; rule k evaluates the velocity of knot interval k
         nodes, weights = _gauss_legendre_20()
+        inner = tau_grid[1:-1]
 
-        def rule(start, stop):
+        def rule(k, start, stop):
             half = 0.5 * (stop - start)
-            u = d1((start + half)[..., None] + half[..., None] * nodes)
+            tau = (start + half)[..., None] + half[..., None] * nodes
+            u = _horner(velocity[k][..., None, :, :], tau - tau_grid[k][..., None])
             return half * (np.sqrt(units.c**2 + np.sum(u * u, axis=-1)) @ weights)
 
-        cumulative = np.concatenate([[0.0], np.cumsum(rule(tau_grid[:-1], tau_grid[1:]))])
+        whole = rule(np.arange(inner.size + 1), tau_grid[:-1], tau_grid[1:])
+        cumulative = np.concatenate([[0.0], np.cumsum(whole)])
 
         def antiderivative(t):
-            k = np.clip(np.searchsorted(tau_grid, t, side="right") - 1, 0, tau_grid.size - 2)
-            return cumulative[k] + rule(tau_grid[k], t)
+            k = np.searchsorted(inner, t, side="right")
+            return cumulative[k] + rule(k, tau_grid[k], t)
 
         def path(t0, t1):
             f0, f1 = antiderivative(np.array([t0, t1]))
@@ -222,6 +229,90 @@ class SourceTrajectory:
     def _with_path(self, path: Callable[[float, float], float]) -> "SourceTrajectory":
         object.__setattr__(self, "_path", path)
         return self
+
+
+def _not_a_knot_table(t, y):
+    """Coefficients (m - 1, 4, 3) of the not-a-knot cubic spline through y (m, 3).
+
+    Row k holds the cubic on [t[k], t[k + 1]] in powers of tau - t[k],
+    highest first.  Two samples give the line and three the parabola
+    through them.  From four on, the third derivative is also continuous
+    at t[1] and t[m - 2] (de Boor, *A Practical Guide to Splines*, ch. IV),
+    and the knot slopes solve one tridiagonal system, whose matrix depends
+    on t alone, by a Thomas sweep.
+    """
+    m = t.size
+    h = np.diff(t)[:, None]
+    slope = np.diff(y, axis=0) / h
+    if m == 2:
+        s = slope[[0, 0]]
+    elif m == 3:
+        mid = (h[1] * slope[0] + h[0] * slope[1]) / (h[0] + h[1])
+        s = np.array([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
+    else:
+        d0, d1 = t[2] - t[0], t[-1] - t[-3]
+        rhs = np.empty((m, 3))
+        rhs[0] = ((h[0] + 2.0 * d0) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d1 + h[-1]) * h[-2] * slope[-1]) / d1
+        # row i: lower[i] s[i - 1] + diag[i] s[i] + upper[i] s[i + 1] = rhs[i]
+        hs = h[:, 0].tolist()
+        lower = [0.0] + hs[1:] + [float(d1)]
+        diag = [hs[1]] + [2.0 * (a + b) for a, b in zip(hs, hs[1:])] + [hs[-2]]
+        upper = [float(d0)] + hs[:-1]
+        cols = rhs.T.tolist()
+        for i in range(1, m):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            for r in cols:
+                r[i] -= w * r[i - 1]
+        for r in cols:
+            r[-1] /= diag[-1]
+            for i in range(m - 2, -1, -1):
+                r[i] = (r[i] - upper[i] * r[i + 1]) / diag[i]
+        s = np.array(cols).T
+    c = (s[:-1] + s[1:] - 2.0 * slope) / h
+    return np.stack([c / h, (slope - s[:-1]) / h - c, s[:-1], y[:-1]], axis=1)
+
+
+def _horner(coef, dt):
+    """The 3-vector polynomials coef (..., p, 3), highest power first, at dt (...)."""
+    dt = dt[..., None]
+    value = coef[..., 0, :]
+    for j in range(1, coef.shape[-2]):
+        value = value * dt + coef[..., j, :]
+    return value
+
+
+def _spline_evaluator(t, table):
+    """tau -> the piecewise polynomial table (m - 1, p, 3) on the knots t at tau.
+
+    A float tau returns shape (3,), from ``bisect`` and Horner in Python
+    floats; an array tau returns tau.shape + (3,).  Both search the
+    interior knots, so a tau outside [t[0], t[-1]] takes the end cubic.
+    """
+    inner = t[1:-1]
+    # one flat list of floats: a list per row would be (m - 1) p containers
+    # that live as long as the source, reach the collector's oldest
+    # generation and so set off full collections (about 8x as many in a
+    # field_map run, each some 20 ms)
+    inner_list, knots, flat = inner.tolist(), t.tolist(), table.ravel().tolist()
+    width = 3 * table.shape[1]
+
+    def at(tau):
+        if isinstance(tau, float):
+            k = bisect.bisect_right(inner_list, tau)
+            dt = tau - knots[k]
+            i = width * k
+            x, y, z = flat[i:i + 3]
+            for j in range(i + 3, i + width, 3):
+                x, y, z = x * dt + flat[j], y * dt + flat[j + 1], z * dt + flat[j + 2]
+            return np.array([x, y, z])
+        tau = np.asarray(tau, dtype=float)
+        k = np.searchsorted(inner, tau, side="right")
+        return _horner(table[k], tau - t[k])
+
+    return at
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import ellipeinc, k1
 
@@ -157,6 +158,17 @@ def retarded_time_by_quadrature(x, tau, traj, knots=()):
         step *= 2.0
         lo = tau - step
     return brentq(gap, max(lo, traj.tau_min), tau, xtol=1e-14 * scale, rtol=4 * np.finfo(float).eps)
+
+
+def not_a_knot_spline(tau_grid, positions):
+    """Position, velocity and acceleration of scipy's not-a-knot ``CubicSpline``.
+
+    The reference route of ``SourceTrajectory.from_samples``: a banded LU
+    solve for the knot slopes and a piecewise-polynomial evaluation that
+    extrapolates with the end cubics.
+    """
+    spline = CubicSpline(tau_grid, positions, axis=0)
+    return spline, spline.derivative(1), spline.derivative(2)
 
 
 def retarded_time_sine_line(x, tau, amplitude, omega):

@@ -762,7 +762,7 @@ def abort(step):
          [abort(0), (RuntimeWarning, None), abort(0)]),
         # r**3 overflows
         (COULOMB, PhaseState([1e-30, 0, 0], [0.0, 0.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
-         [(OverflowError, None)] * 3),
+         [abort(0)] * 3),
         # x.x overflows
         (COULOMB, PhaseState([1e200, 0, 0], [0.0, 1.0, 0.0], m=1.0), 0.1, 5, hamilton_rhs,
          ["9ea30f19c83f4dfb", (RuntimeWarning, None), (FloatingPointError, None)]),

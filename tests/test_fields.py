@@ -6,6 +6,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from oracles import (
+    not_a_knot_spline,
     retarded_time_by_quadrature,
     retarded_time_constant_velocity,
     retarded_time_decimal,
@@ -95,7 +96,12 @@ class TestRetardedTime:
     @pytest.mark.parametrize("grid, positions", [
         ([0.0, 1.0, 1.0, 2.0], np.zeros((4, 3))),
         (np.linspace(0.0, 1.0, 5), np.zeros((5, 2))),
-    ], ids=["non-increasing-grid", "positions-shape"])
+        ([0.5], np.zeros((1, 3))),
+        ([0.0, np.nan, 2.0], np.zeros((3, 3))),
+        ([0.0, 1.0, np.inf], np.zeros((3, 3))),
+        ([0.0, 1.0, 2.0], [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ], ids=["non-increasing-grid", "positions-shape", "one-sample", "nan-grid", "inf-grid",
+            "nan-position"])
     def test_samples_rejected(self, grid, positions):
         with pytest.raises(DomainError):
             SourceTrajectory.from_samples(1.0, grid, positions)
@@ -699,6 +705,35 @@ class TestEffectivePhotonMass:
         ).bracket_explicit
         errs = [abs(bracket_fd(1.0, h) - exact) for h in (1e-3, 5e-4)]
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.2)
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+@pytest.mark.parametrize("m", [2, 3, 4, 161, 400])
+def test_sampled_spline_matches_scipy(m, spacing):
+    # position, velocity and acceleration at float tau and at (k,) and (k, 20)
+    # arrays of tau, beyond both ends of the grid too, within 1e-13 of each
+    # column's largest value
+    rng = np.random.default_rng(m)
+    if spacing == "uniform":
+        grid = np.linspace(-2.0, 3.0, m)
+    else:
+        grid = np.cumsum(rng.uniform(0.05, 1.0, m)) - 2.0
+    positions = rng.normal(size=(m, 3))
+    traj = SourceTrajectory.from_samples(1.0, grid, positions)
+    span = grid[-1] - grid[0]
+    taus = rng.uniform(grid[0] - 0.5 * span, grid[-1] + 0.5 * span, size=(7, 20))
+    taus[0, :4] = grid[0], grid[-1], grid[0] - 0.3 * span, grid[-1] + 0.3 * span
+    oracle = not_a_knot_spline(grid, positions)
+    for ours, theirs in zip((traj.position, traj.velocity, traj.acceleration), oracle):
+        for got, expected in [
+            (ours(taus), theirs(taus)),
+            (ours(taus[:, 0]), theirs(taus[:, 0])),
+            (np.array([ours(t) for t in taus[0].tolist()]),
+             np.array([theirs(t) for t in taus[0].tolist()])),
+        ]:
+            assert got.shape == expected.shape
+            err = np.abs(got - expected).reshape(-1, 3).max(axis=0)
+            assert np.all(err <= 1e-13 * np.abs(expected).reshape(-1, 3).max(axis=0))
 
 
 def test_sampled_trajectory_matches_closed_form():

@@ -88,3 +88,20 @@ def test_import_and_redshift_load_no_scipy(tmp_path):
         print(json.dumps([after_import, code, after_run]))
     """))
     assert json.loads(out) == [[], 0, []]
+
+
+def test_sampled_source_fields_load_no_scipy():
+    # from_samples builds its spline in numpy, so a sampled source's fields
+    # cost numpy only
+    out = run_fresh_python(textwrap.dedent("""
+        import json, sys
+        import numpy as np
+        from propertime.fields import SourceTrajectory, fields_at
+        grid = np.arange(-10.0, 2.0 + 1e-9, 0.25)
+        positions = np.stack([0.4 * np.sin(grid), 0.2 * np.cos(grid), 0.0 * grid], axis=1)
+        traj = SourceTrajectory.from_samples(1.0, grid, positions)
+        E, B, tau_ret = fields_at(np.array([3.0, 0.5, -1.0]), 1.0, traj)
+        finite = bool(np.isfinite(E).all() and np.isfinite(B).all())
+        print(json.dumps([finite, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+    """))
+    assert json.loads(out) == [True, []]
