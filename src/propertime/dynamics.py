@@ -170,10 +170,9 @@ def kinetic_momentum(state: PhaseState, fields: FieldConfiguration) -> np.ndarra
 
 
 def _evaluate(state: PhaseState, fields: FieldConfiguration):
-    """(pi, H0, V) at the state: the one evaluation the functions below read."""
+    """(pi, pi.pi, H0, V) at the state: the one evaluation the functions below read."""
     pi = kinetic_momentum(state, fields)
-    _, H0, V = _energies(state.x, pi, state.m, state.units.c, fields)
-    return pi, H0, V
+    return (pi, *_energies(state.x, pi, state.m, state.units.c, fields))
 
 
 def _energies(x: np.ndarray, pi: np.ndarray, m: float, c: float, fields: FieldConfiguration):
@@ -184,8 +183,7 @@ def _energies(x: np.ndarray, pi: np.ndarray, m: float, c: float, fields: FieldCo
 
 def _generator_values(state: PhaseState, fields: FieldConfiguration):
     """(K, H, b) from one evaluation."""
-    m, c, pi = state.m, state.units.c, kinetic_momentum(state, fields)
-    return _generator_values_at(*_energies(state.x, pi, m, c, fields), m, c)
+    return _generator_values_at(*_evaluate(state, fields)[1:], state.m, state.units.c)
 
 
 def _generator_values_at(pp, H0, V, m: float, c: float):
@@ -197,7 +195,7 @@ def _generator_values_at(pp, H0, V, m: float, c: float):
 
 def h_zero(state: PhaseState, fields: FieldConfiguration) -> float:
     """H0 = sqrt(c^2 pi^2 + m^2 c^4)."""
-    return _evaluate(state, fields)[1]
+    return _evaluate(state, fields)[2]
 
 
 def hamiltonian_H(state: PhaseState, fields: FieldConfiguration) -> float:
@@ -224,14 +222,14 @@ def _renorm_factor(H0: float, V: float) -> float:
 
 def effective_mass_tilde(state: PhaseState, fields: FieldConfiguration) -> float:
     """m_tilde = m / (1 + V/H0); equals m when V = 0."""
-    return state.m / _renorm_factor(*_evaluate(state, fields)[1:])
+    return state.m / _renorm_factor(*_evaluate(state, fields)[2:])
 
 
 def _equations_of_motion(state: PhaseState, fields: FieldConfiguration):
     """(u, dp/dtau, b, V, grad V, dA/dtau, B): the right-hand side and the
     field values it was built from; dA/dtau and B are None when A is."""
     c = state.units.c
-    pi, H0, V = _evaluate(state, fields)
+    pi, _, H0, V = _evaluate(state, fields)
     factor = _renorm_factor(H0, V)
     u = factor * pi / state.m
     b = H0 / (state.m * c)
@@ -344,12 +342,12 @@ class OrbitTrajectory:
 # arithmetic: factor = 1 - s/(r H0), u = (factor/m) p, dp/dtau = g x with
 # g = -(s/(m c^2)) H0 factor / r**3, and x + h/6 (k1 + 2 (k2 + k3) + k4).  So it
 # rounds apart from hamilton_rhs by more than its two dot products; one step
-# stays within 1e-14 of the generic step, relative to |x| and |p|.  Where numpy
-# would overflow, divide by zero or meet the pole, the float code raises an
-# ArithmeticError or leaves a non-finite state, and integrate_orbit redoes that
-# step, and every later one, through the generic RK4.  A dot product past
-# _DOT_MAX raises too, so that numpy's differently rounded one cannot overflow
-# where the float sum did not.
+# stays within 1e-14 of the generic step, relative to |x| and |p|.  Each stage
+# has one check, and where numpy would overflow, divide by zero or meet the pole,
+# the float code raises an ArithmeticError or leaves a non-finite state;
+# integrate_orbit then redoes that step, and every later one, through the
+# generic RK4.  The check also fails on a dot product past _DOT_MAX, so that
+# numpy's differently rounded one cannot overflow where the float sum did not.
 _DOT_MAX = 1e300
 
 
@@ -358,12 +356,10 @@ def _free_plain_step(m: float, c: float, h: float):
 
     def step(x0, x1, x2, p0, p1, p2):
         pp = p0 * p0 + p1 * p1 + p2 * p2
-        if not pp < _DOT_MAX:
-            raise OverflowError("pi.pi near the float range")
         H0 = math.sqrt(c2 * pp + m2c4)
         # hamilton_rhs divides V = 0 by H0, and its dp/dtau = -0 * b/c is nan where b overflows
-        if not (H0 > 0.0 and H0 / mc / c < math.inf):
-            raise OverflowError("H0 is zero or b overflows")
+        if not (pp < _DOT_MAX and H0 > 0.0 and H0 / mc / c < math.inf):
+            raise ArithmeticError("pi.pi near the float range, H0 zero or b overflowing")
         u0, u1, u2 = p0 / m, p1 / m, p2 / m
         return (x0 + h6 * (u0 + 2.0 * u0 + 2.0 * u0 + u0),
                 x1 + h6 * (u1 + 2.0 * u1 + 2.0 * u1 + u1),
@@ -383,13 +379,11 @@ def _coulomb_plain_step(strength: float, m: float, c: float, h: float):
         # raise.  One assignment per name: a six-name tuple assignment builds a tuple
         r2 = x0 * x0 + x1 * x1 + x2 * x2
         pp = p0 * p0 + p1 * p1 + p2 * p2
-        if not (r2 < dot_max and pp < dot_max):
-            raise OverflowError("x.x or pi.pi near the float range")
         r = sqrt(r2)
         H0 = sqrt(c2 * pp + m2c4)
         factor = 1.0 - s / (r * H0)
-        if -pole_tol < factor < pole_tol:
-            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        if not (r2 < dot_max and pp < dot_max) or -pole_tol < factor < pole_tol:
+            raise ArithmeticError("x.x or pi.pi near the float range, or V = -H0")
         fm = factor / m
         g = g_scale * H0 * factor / r**3
         k1x0 = fm * p0; k1x1 = fm * p1; k1x2 = fm * p2
@@ -399,13 +393,11 @@ def _coulomb_plain_step(strength: float, m: float, c: float, h: float):
         q0 = p0 + h2 * k1p0; q1 = p1 + h2 * k1p1; q2 = p2 + h2 * k1p2
         r2 = y0 * y0 + y1 * y1 + y2 * y2
         pp = q0 * q0 + q1 * q1 + q2 * q2
-        if not (r2 < dot_max and pp < dot_max):
-            raise OverflowError("x.x or pi.pi near the float range")
         r = sqrt(r2)
         H0 = sqrt(c2 * pp + m2c4)
         factor = 1.0 - s / (r * H0)
-        if -pole_tol < factor < pole_tol:
-            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        if not (r2 < dot_max and pp < dot_max) or -pole_tol < factor < pole_tol:
+            raise ArithmeticError("x.x or pi.pi near the float range, or V = -H0")
         fm = factor / m
         g = g_scale * H0 * factor / r**3
         k2x0 = fm * q0; k2x1 = fm * q1; k2x2 = fm * q2
@@ -415,13 +407,11 @@ def _coulomb_plain_step(strength: float, m: float, c: float, h: float):
         q0 = p0 + h2 * k2p0; q1 = p1 + h2 * k2p1; q2 = p2 + h2 * k2p2
         r2 = y0 * y0 + y1 * y1 + y2 * y2
         pp = q0 * q0 + q1 * q1 + q2 * q2
-        if not (r2 < dot_max and pp < dot_max):
-            raise OverflowError("x.x or pi.pi near the float range")
         r = sqrt(r2)
         H0 = sqrt(c2 * pp + m2c4)
         factor = 1.0 - s / (r * H0)
-        if -pole_tol < factor < pole_tol:
-            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        if not (r2 < dot_max and pp < dot_max) or -pole_tol < factor < pole_tol:
+            raise ArithmeticError("x.x or pi.pi near the float range, or V = -H0")
         fm = factor / m
         g = g_scale * H0 * factor / r**3
         k3x0 = fm * q0; k3x1 = fm * q1; k3x2 = fm * q2
@@ -431,13 +421,11 @@ def _coulomb_plain_step(strength: float, m: float, c: float, h: float):
         q0 = p0 + h * k3p0; q1 = p1 + h * k3p1; q2 = p2 + h * k3p2
         r2 = y0 * y0 + y1 * y1 + y2 * y2
         pp = q0 * q0 + q1 * q1 + q2 * q2
-        if not (r2 < dot_max and pp < dot_max):
-            raise OverflowError("x.x or pi.pi near the float range")
         r = sqrt(r2)
         H0 = sqrt(c2 * pp + m2c4)
         factor = 1.0 - s / (r * H0)
-        if -pole_tol < factor < pole_tol:
-            raise RenormalizationPoleError("V = -H0: renormalized mass diverges")
+        if not (r2 < dot_max and pp < dot_max) or -pole_tol < factor < pole_tol:
+            raise ArithmeticError("x.x or pi.pi near the float range, or V = -H0")
         fm = factor / m
         g = g_scale * H0 * factor / r**3
         return (x0 + h6 * (k1x0 + 2.0 * (k2x0 + k3x0) + fm * q0),
@@ -464,18 +452,19 @@ def integrate_orbit(
     a direct diagnostic of the step size.  The state is six floats.
     ``hamilton_rhs`` on the fields of :meth:`FieldConfiguration.free` or
     :meth:`FieldConfiguration.coulomb` takes one whole RK4 step per call on
-    plain floats.  On free() x and p are bit for bit the generic route's;
-    on coulomb() the step regroups the arithmetic of ``hamilton_rhs`` and
-    stays within 1e-14 of the generic step, relative to |x| and |p|.  Any
-    other ``rhs`` or fields, and a step the plain floats fail and every
-    later one, run the generic RK4: one step on the six-vector (x, p) as a
-    float array, calling ``rhs`` on a :class:`PhaseState` at each stage, so
-    numpy's ``errstate`` covers the whole step; a pole, a
-    ``FloatingPointError`` or an ``OverflowError`` in one of its stages
-    raises ``IntegrationAbort`` with the step.  The loop records tau, x and
-    p; K, H and b of all records are evaluated once it ends.  With A absent,
-    those two fields take them from one array pass; other fields, and a
-    pass that would warn or raise, go row by row.
+    plain floats, one check per stage, while numpy ignores underflow, which
+    Python floats never signal.  On free() x and p are bit for bit the
+    generic route's; on coulomb() the step regroups the arithmetic of
+    ``hamilton_rhs`` and stays within 1e-14 of the generic step, relative
+    to |x| and |p|.  Any other ``rhs``, fields or underflow setting, and a
+    step the plain floats fail and every later one, run the generic RK4:
+    one step on the six-vector (x, p) as a float array, calling ``rhs`` on
+    a :class:`PhaseState` at each stage, so numpy's ``errstate`` covers the
+    whole step; a pole, a ``FloatingPointError`` or an ``OverflowError`` in
+    one of its stages raises ``IntegrationAbort`` with the step.  The loop
+    records tau, x and p; K, H and b of all records are evaluated once it
+    ends.  Those two fields take them from one array pass; other fields,
+    and a pass that would warn or raise, go row by row.
     """
     if not (math.isfinite(dtau) and dtau > 0.0):
         raise DomainError(f"dtau must be finite and positive, got {dtau}")
@@ -485,7 +474,7 @@ def integrate_orbit(
         raise DomainError(f"record_every must be at least 1, got {record_every}")
     m, e, units = state0.m, state0.e, state0.units
     c = units.c
-    array_V = fields._array_V if fields.vector is None else None
+    array_V = fields._array_V
     taus, xps = [], []  # per record: tau, and x and p as six floats
 
     def values(x, p):  # (K, H, b) of one record, as canonical_K etc. take it
@@ -535,8 +524,8 @@ def integrate_orbit(
     h = float(dtau)
     h2, h6 = 0.5 * h, h / 6.0
     step = generic
-    if rhs is hamilton_rhs and fields.vector is None and fields._plain_step is not None:
-        # Python floats in the loop: numpy scalars are slower and warn where they do not
+    # Python floats in the loop: faster than numpy scalars, but they never signal underflow
+    if rhs is hamilton_rhs and fields._plain_step is not None and np.geterr()["under"] == "ignore":
         try:
             step = fields._plain_step(float(m), float(c), h)
         except ArithmeticError:  # m or c beyond the float range of m**2 c**4
@@ -572,7 +561,7 @@ def metric_deformation(state: PhaseState, fields: FieldConfiguration) -> float:
     c^2 dt^2 = c^2 dtau^2 + dx^2 / (1 + V/H0)^2: unity in free space,
     diverging toward the pole V -> -H0.
     """
-    return 1.0 / _renorm_factor(*_evaluate(state, fields)[1:]) ** 2
+    return 1.0 / _renorm_factor(*_evaluate(state, fields)[2:]) ** 2
 
 
 def _solve_mass_ratio(u2: float, beta: float, m: float, c: float) -> float:

@@ -342,6 +342,10 @@ def test_one_vector_potential_jacobian_per_rhs():
     assert len(calls) == 7
 
 
+def test_jacobian_of_absent_vector_potential_is_zero():
+    np.testing.assert_array_equal(COULOMB.jac_A([1.0, 2.0, 3.0]), np.zeros((3, 3)))
+
+
 def test_magnetic_terms_equal_np_cross_bit_for_bit(monkeypatch):
     fields = vector_potential_fields()
     rng = np.random.default_rng(23)
@@ -463,6 +467,30 @@ class TestMetricAndLagrangian:
             K = canonical_K(st, COULOMB)
             assert st.p @ u - L == pytest.approx(K, rel=1e-10)
 
+    def test_legendre_consistency_with_vector_potential(self):
+        # u from hamilton_rhs; L carries the (e/c) A.u term and p the (e/c) A
+        fields = vector_potential_fields()
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            st = PhaseState(rng.normal(size=3), rng.normal(size=3), m=1.3, e=0.8)
+            u, _ = hamilton_rhs(st, fields)
+            L = lagrangian(st.x, u, fields, m=st.m, e=st.e)
+            assert st.p @ u - L == pytest.approx(canonical_K(st, fields), rel=1e-13)
+
+    def test_lagrangian_pole_at_rest(self):
+        # V = -mc^2 at u = 0: the renormalized mass diverges
+        with pytest.raises(RenormalizationPoleError, match="zero velocity"):
+            lagrangian([1.0, 0, 0], np.zeros(3), COULOMB, m=1.0)
+
+    @pytest.mark.parametrize("strength, speed", [(2.0, 1e-30), (-1e13, 0.1)],
+                             ids=["none-below-upper-bound", "lower-bound-too-heavy"])
+    def test_no_consistent_renormalized_mass(self, strength, speed):
+        # V = -2mc^2 at |u| = 1e-30: m_tilde (1 + V/(m c b)) stays below m up to
+        # 2^60 times the first upper bound; V = 1e13 mc^2: it exceeds m already
+        # at the lower bound 1e-12 m
+        with pytest.raises(RenormalizationPoleError, match="no consistent"):
+            lagrangian([1.0, 0, 0], [speed, 0, 0], FieldConfiguration.coulomb(strength), m=1.0)
+
 
 class TestTimeReversal:
     def test_k_even_and_clock_flips(self):
@@ -473,6 +501,11 @@ class TestTimeReversal:
         assert rec.dtau_dt > 0.0
         assert rec.dtau_dt_energy_flipped == pytest.approx(-rec.dtau_dt, rel=1e-15)
         assert rec.k_value > 0.0
+
+    def test_rejects_vector_potential(self):
+        with pytest.raises(DomainError, match="A = 0"):
+            time_reversal_check(PhaseState(np.ones(3), np.zeros(3), m=1.0),
+                                vector_potential_fields())
 
 
 class TestBracketChain:
@@ -748,6 +781,17 @@ def abort(step):
     return IntegrationAbort, step
 
 
+def end(st, fields, dtau, n_steps, rhs=hamilton_rhs, **errstate):
+    """The digest of the finished orbit, or the exception type and IntegrationAbort step."""
+    try:
+        # under "warn" the first RuntimeWarning ends the orbit
+        with np.errstate(**errstate), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return digest(integrate_orbit(st, fields, dtau, n_steps, rhs=rhs))
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), getattr(exc, "step", None)
+
+
 # each orbit's end under np.errstate ignore, warn and raise, recorded from the
 # array loop that integrate_orbit ran before its single six-scalar loop: the
 # exception type and IntegrationAbort step, or the digest of a finished orbit
@@ -806,22 +850,77 @@ def abort(step):
          ["d1f6f5820ae6cace", (RuntimeWarning, None), abort(0)]),
         (COULOMB, PhaseState([1e-20, 0, 0], [0.0, 0.0, 0.0], m=1.0), 1e19, 5, hamilton_rhs,
          ["66b0a51870cd2532", (RuntimeWarning, None), abort(0)]),
+        # Coulomb: only the stage-3 dot check hands this step over; without it
+        # the plain step finishes it and the raise end is a FloatingPointError
+        (COULOMB, PhaseState([1e-40, 0, 0], [0.0, 1e-20, 0.0], m=1.0), 1e20, 5, hamilton_rhs,
+         ["c7a40a7f934f7119", (RuntimeWarning, None), abort(0)]),
     ],
     ids=["origin", "momentum-overflow", "radius-cubed", "far", "free-position-overflow",
          "hand-over-midway", "approximate-rhs", "vector", "free-momentum-dot",
          "free-b-overflow", "free-b-over-c-overflow", "pole-stage-1", "pole-stage-1-only",
-         "pole-stage-2", "pole-stage-3", "pole-stage-4", "dot-stage-3", "dot-stage-4"],
+         "pole-stage-2", "pole-stage-3", "pole-stage-4", "dot-stage-3", "dot-stage-4",
+         "dot-stage-3-only"],
 )
 def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, rhs, ends, errstate):
-    def outcome(conf):
-        try:
-            # under "warn" the first RuntimeWarning ends the orbit
-            with np.errstate(all=errstate), warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                return digest(integrate_orbit(st, conf, dtau, n_steps, rhs=rhs))
-        except Exception as exc:  # the exception itself is what is compared
-            return type(exc), getattr(exc, "step", None)
-
+    # underflow ignored, numpy's default, keeps the plain route and its checks in play
+    errstates = {"all": errstate, "under": "ignore"}
     expected = ends[["ignore", "warn", "raise"].index(errstate)]
     # replace() keeps every callable and drops the plain-float step
-    assert outcome(fields) == outcome(dataclasses.replace(fields)) == expected
+    assert (end(st, fields, dtau, n_steps, rhs, **errstates)
+            == end(st, dataclasses.replace(fields), dtau, n_steps, rhs, **errstates) == expected)
+
+
+def routes_end(st, fields, dtau, n_steps, errstate):
+    """The end both routes share under np.errstate(all=errstate): the plain config
+    and its replace() copy must end alike, and a finished free orbit bit for bit."""
+    ends = [end(st, conf, dtau, n_steps, all=errstate)
+            for conf in (fields, dataclasses.replace(fields))]
+    if fields._plain_step is not dynamics._free_plain_step:  # Coulomb routes round apart
+        ends = ["finished" if isinstance(e, str) else e for e in ends]
+    assert ends[0] == ends[1]
+    return ends[0]
+
+
+@pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("fields, st, dtau, ends", [
+    (FREE, PhaseState([1.0, 0, 0], [1.0, 1e-300, 0.0], m=1e10), 1e10,
+     ["8fd734654293ad78", (RuntimeWarning, None), abort(0)]),
+    (COULOMB, PhaseState([5.0, 0, 0], [0.0, 0.3, 1e-300], m=1e10), 1.0,
+     ["finished", (RuntimeWarning, None), abort(0)]),
+], ids=["free", "coulomb"])
+def test_underflow_setting_holds_on_both_routes(fields, st, dtau, ends, errstate):
+    # p/m underflows in step 0: Python floats never signal it, so only while
+    # numpy ignores underflow may the plain route take the step
+    expected = ends[["ignore", "warn", "raise"].index(errstate)]
+    assert routes_end(st, fields, dtau, 5, errstate) == expected
+
+
+def extreme_orbits(count=200, seed=2):
+    """Seeded free and Coulomb orbits over the float range: components zero of
+    either sign or of magnitude 1e-3 to 1e3, m from 1e-12 to 1e12, c, dtau and
+    |strength| from 1e-3 to 1e3; one nonzero draw in four spans 1e-320 to 1e300."""
+    rng = np.random.default_rng(seed)
+
+    def scale(k):
+        return 10.0 ** rng.uniform(*((-320, 300) if rng.integers(4) == 0 else (-k, k)))
+
+    def component():
+        if rng.integers(6) == 0:
+            return (0.0, -0.0)[rng.integers(2)]
+        return (-1.0) ** rng.integers(2) * scale(3)
+
+    for i in range(count):
+        st = PhaseState([component() for _ in range(3)], [component() for _ in range(3)],
+                        m=scale(12), units=UnitSystem(c=scale(3)))
+        dtau = scale(3)
+        fields = (FieldConfiguration.free() if i % 2 == 0
+                  else FieldConfiguration.coulomb((-1.0) ** rng.integers(2) * scale(3)))
+        yield st, fields, dtau
+
+
+@pytest.mark.parametrize("errstate", ["ignore", "warn", "raise"])
+def test_extreme_orbits_end_alike_on_both_routes(errstate):
+    # 4 steps each: the plain route hands a failing step over, and under warn
+    # and raise gives way, so each orbit ends as its generic copy does
+    ends = [routes_end(st, fields, dtau, 4, errstate) for st, fields, dtau in extreme_orbits()]
+    assert sum(isinstance(e, str) for e in ends) > 60  # finished orbits
