@@ -300,20 +300,13 @@ def propertime_force(state: PhaseState, fields: FieldConfiguration) -> ForceDeco
 def coulomb_critical_radius(m: float, e_charge: float, units: UnitSystem = NATURAL) -> float:
     """Radius where -grad V (1 + V/mc^2) vanishes for V = -e^2/r.
 
-    Solved numerically; the root is e^2/(m c^2), and the force is
-    repulsive inside it.
+    The root of 1 + V/mc^2, e^2/(m c^2), in closed form; the force is
+    repulsive inside it.  Mass and charge must be finite and positive.
     """
-    if m <= 0.0 or e_charge <= 0.0:
-        raise DomainError("mass and charge must be positive")
-    c = units.c
-    guess = e_charge**2 / (m * c**2)
-
-    def critical(r: float) -> float:
-        return 1.0 - e_charge**2 / (r * m * c**2)
-
-    from scipy.optimize import brentq
-
-    return float(brentq(critical, 1e-6 * guess, 1e6 * guess, xtol=1e-15 * guess, rtol=8 * np.finfo(float).eps))
+    if not (0.0 < m < math.inf and 0.0 < e_charge < math.inf):
+        raise DomainError("mass and charge must be finite and positive")
+    e_over_c = e_charge / units.c
+    return float(e_over_c * e_over_c / m)
 
 
 @dataclass

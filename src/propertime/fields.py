@@ -57,7 +57,7 @@ from .errors import (
     SingularGeometryError,
 )
 from .kinematics import NATURAL, UnitSystem, _cross, _dot, _vec
-from .spectral import _gauss_legendre_20
+from .spectral import _gauss_legendre
 
 __all__ = [
     "SourceTrajectory",
@@ -183,7 +183,7 @@ class SourceTrajectory:
         # int b ds from tau_grid[0]: one 20-point Gauss-Legendre rule per knot
         # interval, where u is a quadratic, cumulated once, plus the partial
         # interval up to t; rule k evaluates the velocity of knot interval k
-        nodes, weights = _gauss_legendre_20()
+        nodes, weights = _gauss_legendre(20)
         inner = tau_grid[1:-1]
 
         def rule(k, start, stop):

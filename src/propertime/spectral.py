@@ -23,11 +23,16 @@ Discretization scheme (reproducible): on a periodic grid of spacing
 :math:`\Delta`, every off-diagonal cell contributes its kernel moments
 :math:`\int S_1`, :math:`\int (z - z_j) S_1`, :math:`\int (z-z_j)^2 S_1`,
 applied to a local quadratic reconstruction of :math:`\psi(x - z)` by
-central differences.  The moments of every cell come from one 20-point
-Gauss-Legendre rule: the :math:`1/z^2` pole of :math:`S_1` sits half a
-cell outside even the nearest pair, so the rule converges there like
-:math:`(2 + \sqrt{3})^{-40}`.  Cells at :math:`\pm z_j` share their even
-moments and have opposite odd ones, so each offset is integrated once.
+central differences.  The moments of each cell come from a fixed
+Gauss-Legendre rule: the :math:`1/z^2` pole of :math:`S_1` lies :math:`2m`
+half-widths from the centre of the cell at offset :math:`m\Delta`, so a
+:math:`k`-point rule there converges like
+:math:`(2m + \sqrt{4m^2 - 1})^{-2k}`.  Cells :math:`m \le 2` take 20
+nodes, :math:`(2 + \sqrt{3})^{-40} \approx 10^{-23}` at the nearest pair;
+cells :math:`m \ge 3` take 8, :math:`(6 + \sqrt{35})^{-16} \approx
+6 \cdot 10^{-18}` at the nearest of them.  Cells at :math:`\pm z_j` share
+their even moments and have opposite odd ones, so each offset is
+integrated once.
 The self cell, where the PV subtraction leaves the finite integrand
 :math:`S_1(z) z^2 \psi''/2`, contributes its second moment, in closed form
 from :math:`\int_0^x t K_1(t)\,dt = \int_0^x K_0(t)\,dt - x K_0(x)`, to the
@@ -60,15 +65,22 @@ __all__ = [
 ]
 
 
+# Cells at offsets m dz with m <= _NEAR_CELLS take _NEAR_NODES Gauss-Legendre
+# nodes, the rest _FAR_NODES; the module docstring gives the error bound.
+_NEAR_CELLS = 2
+_NEAR_NODES = 20
+_FAR_NODES = 8
+
+
 @functools.cache
-def _gauss_legendre_20():
-    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1].
+def _gauss_legendre(k):
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1].
 
     Computed on first use, not at import: its eigenvalue solve is a
     process's first LAPACK call, which maps about 0.7 MB that processes
     building no table do not need.
     """
-    return np.polynomial.legendre.leggauss(20)
+    return np.polynomial.legendre.leggauss(k)
 
 
 @dataclass(frozen=True)
@@ -173,6 +185,15 @@ def line_kernel_weight(z, params: KernelParameters):
     return float(out) if out.ndim == 0 else out
 
 
+def _cell_moments(offsets, dz, params, k):
+    """Moments (w0, w1, w2) of S1 over the cells at ``offsets * dz``, k nodes each."""
+    nodes, weights = _gauss_legendre(k)
+    t = 0.5 * dz * nodes
+    z = dz * offsets[:, None] + t
+    powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
+    return line_kernel_weight(z, params) @ powers.T
+
+
 class SqrtOperator1D:
     """Cell-integrated coordinate-space application on a periodic grid.
 
@@ -200,14 +221,14 @@ class SqrtOperator1D:
         p = self.params
         half = n // 2
         # moments (w0, w1, w2) of the cells at offsets +m dz, m = 1..n//2,
-        # by one fixed Gauss-Legendre rule in t = z - z_m: the 1/z^2 pole
+        # by a fixed Gauss-Legendre rule in t = z - z_m: the 1/z^2 pole
         # at z = 0 lies half a cell outside even the nearest cell.  The
         # mirror cell at -m dz has the same w0, w2 and the opposite w1.
-        nodes, weights = _gauss_legendre_20()
-        t = 0.5 * dz * nodes
-        z = dz * np.arange(1, half + 1)[:, None] + t
-        powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
-        moments = line_kernel_weight(z, p) @ powers.T
+        offsets = np.arange(1, half + 1)
+        moments = np.concatenate([
+            _cell_moments(offsets[:_NEAR_CELLS], dz, p, _NEAR_NODES),
+            _cell_moments(offsets[_NEAR_CELLS:], dz, p, _FAR_NODES),
+        ])
         # minimum-image offset of cell j: kernel is applied over one period
         offset = (np.arange(1, n) + half) % n - half
         w0, w1, w2 = moments[np.abs(offset) - 1].T
@@ -286,6 +307,9 @@ def dirac_to_K_eigenvalue(E: float, m: float, c: float = 1.0) -> float:
 
     K(E) = E^2/(2 m c^2) + m c^2/2: even in E, bounded below by m c^2 with
     equality exactly at |E| = m c^2; equally spaced E_n become
-    quadratically spaced K_n.
+    quadratically spaced K_n.  Raises :class:`DomainError` unless m and c
+    are finite and positive.
     """
+    if not (0.0 < m < math.inf and 0.0 < c < math.inf):
+        raise DomainError(f"mass and c must be finite and positive, got m = {m!r}, c = {c!r}")
     return float(E**2 / (2.0 * m * c**2) + m * c**2 / 2.0)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import ellipeinc, k1
+from scipy.special import ellipeinc, iti0k0, k0, k1
 
 
 def einstein_velocity_composition(w, v, c=1.0):
@@ -196,6 +196,20 @@ def retarded_time_sine_line(x, tau, amplitude, omega):
     return brentq(gap, lo, tau, xtol=1e-14 * max(1.0, abs(tau)), rtol=4 * np.finfo(float).eps)
 
 
+def coulomb_critical_radius_brentq(m, e_charge, c=1.0):
+    """Root of 1 - e^2/(r m c^2), the critical radius of V = -e^2/r, by ``brentq``.
+
+    The reference route of ``dynamics.coulomb_critical_radius``: bracketed
+    by six decades either side of e^2/(m c^2), to ``1e-15`` of it.
+    """
+    guess = e_charge**2 / (m * c**2)
+
+    def critical(r):
+        return 1.0 - e_charge**2 / (r * m * c**2)
+
+    return float(brentq(critical, 1e-6 * guess, 1e6 * guess, xtol=1e-15 * guess, rtol=8 * np.finfo(float).eps))
+
+
 def sqrt_table_adaptive(params, n, spacing):
     """Convolution table of the 1-D square-root operator, one cell at a time.
 
@@ -241,6 +255,40 @@ def sqrt_table_adaptive(params, n, spacing):
     table[1] += m2_self / (2.0 * dz**2)
     table[n - 1] += m2_self / (2.0 * dz**2)
     # symmetrize across the periodic seam (exactly self-adjoint table)
+    idx = (-np.arange(n)) % n
+    return 0.5 * (table + table[idx])
+
+
+def sqrt_table_gauss20(params, n, spacing):
+    """Convolution table of the 1-D square-root operator, one rule for every cell.
+
+    The one-rule build of ``spectral.SqrtOperator1D``: the moments of every
+    off-diagonal cell from the same 20-point Gauss-Legendre rule in one
+    array pass, the same stencil, closed-form self cell and seam
+    symmetrisation.  S1 is written out here from scipy's K1.
+    """
+    n, dz = int(n), float(spacing)
+    half = n // 2
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    t = 0.5 * dz * nodes
+    z = dz * np.arange(1, half + 1)[:, None] + t
+    powers = 0.5 * dz * weights * np.stack([np.ones_like(t), t, t * t])
+    s1 = -params.hbar * params.c * params.mu * k1(params.mu * z) / (math.pi * z)
+    moments = s1 @ powers.T
+    # minimum-image offset of cell j: kernel is applied over one period
+    offset = (np.arange(1, n) + half) % n - half
+    w0, w1, w2 = moments[np.abs(offset) - 1].T
+    w1 = np.sign(offset) * w1
+    below, centre, above = np.zeros((3, n))  # into cells j - 1, j, j + 1
+    centre[1:] = w0 - w2 / dz**2
+    below[1:] = -w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+    above[1:] = w1 / (2.0 * dz) + w2 / (2.0 * dz**2)
+    table = centre + np.roll(below, -1) + np.roll(above, 1)
+    x = 0.5 * params.mu * dz
+    m2_self = -2.0 * params.hbar * params.c / (math.pi * params.mu) * (iti0k0(x)[1] - x * k0(x))
+    table[0] += params.m * params.c**2 - w0.sum() - m2_self / dz**2
+    table[1] += m2_self / (2.0 * dz**2)
+    table[n - 1] += m2_self / (2.0 * dz**2)
     idx = (-np.arange(n)) % n
     return 0.5 * (table + table[idx])
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import newtonian_orbit, radial_infall
+from oracles import coulomb_critical_radius_brentq, newtonian_orbit, radial_infall
 from propertime import dynamics
 from propertime.dynamics import (
     FieldConfiguration,
@@ -285,6 +285,25 @@ class TestCriticalRadius:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             coulomb_critical_radius(-1.0, 1.0)
+
+    @pytest.mark.parametrize("m, e", [(0.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.inf, 1.0),
+                                      (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_positive_or_non_finite(self, m, e):
+        with pytest.raises(DomainError):
+            coulomb_critical_radius(m, e)
+
+    def test_matches_root_finder(self):
+        rng = np.random.default_rng(41)
+        for units in (UnitSystem(), UnitSystem(c=299792458.0)):
+            for m, e in 10.0 ** rng.uniform(-30, 30, size=(200, 2)):
+                expected = coulomb_critical_radius_brentq(m, e, units.c)
+                assert coulomb_critical_radius(m, e, units) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("m, e, expected", [(1.0, 1e-320, 0.0), (1.7e308, 2.0, 4.0 / 1.7e308)])
+    def test_extreme_inputs_return_the_closed_form(self, m, e, expected):
+        # the bracketed root finder fails on both: its xtol underflows to 0 at
+        # the first, and it does not converge in 100 iterations at the second
+        assert coulomb_critical_radius(m, e) == expected
 
 
 def vector_potential_fields(b_z=0.7, k=0.3):

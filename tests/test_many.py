@@ -369,6 +369,27 @@ def test_free_flight_center_of_mass_matches_per_step():
         assert np.array_equal(traj.X, per_step)
 
 
+def test_cross_products_equal_np_cross_bit_for_bit(monkeypatch):
+    # (3,), (n, 3), (steps, n, 3) and the complex (3n, n, 3) stacks of the J
+    # table, against the same quantities with every cross product from np.cross
+    rng = np.random.default_rng(31)
+    systems = [ParticleSystem.random(n, rng, p_max=3.0) for n in (1, 2, 5, 30)]
+
+    def evaluate():
+        out = []
+        for sys in systems:
+            inv = system_invariants(sys)
+            out += [inv.J, inv.S, inv.X, center_of_mass(sys).X, free_flight(sys, 0.02, 25).X]
+            out += list(verify_algebra(sys).values())
+        return out
+
+    got = evaluate()
+    monkeypatch.setattr(many, "_cross", np.cross)
+    monkeypatch.setattr(many, "_angular_momentum", lambda xs, ps: np.sum(np.cross(xs, ps), axis=-2))
+    for a, b in zip(got, evaluate(), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 class TestGeneratingIdentity:
     def test_free_two_particle(self):
         sys = ParticleSystem.random(2, RNG)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import k0, k1
 
-from oracles import bessel_k_via_quadrature, sqrt_table_adaptive
+from oracles import bessel_k_via_quadrature, sqrt_table_adaptive, sqrt_table_gauss20
 from propertime.errors import DomainError, ResolutionError
 from propertime.spectral import (
     KernelParameters,
@@ -153,7 +153,7 @@ class TestOperatorApplication:
 class TestOperatorTable:
     @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 3.7])
     def test_matches_adaptive_table(self, mass):
-        # one fixed Gauss-Legendre rule and the closed-form self cell against
+        # fixed Gauss-Legendre rules and the closed-form self cell against
         # per-cell quad; at mu dz = 1e-6 the x ln x terms of the closed form cancel
         params = KernelParameters.from_mass(mass)
         for n in (2, 3, 8, 64, 128, 256, 333, 1024, 2048):
@@ -163,6 +163,18 @@ class TestOperatorTable:
                 old = sqrt_table_adaptive(params, n, spacing)
                 assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
                 np.testing.assert_array_equal(new[1:], new[1:][::-1])
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 2.0, 3.7])
+    def test_matches_one_rule_table(self, mass):
+        # 8 nodes on the cells beyond the second against 20 on every cell;
+        # n = 2 and 3 have no such cell, n = 8 has 2 and n = 2048 has 1022
+        params = KernelParameters.from_mass(mass)
+        for n in (2, 3, 8, 64, 256, 333, 1024, 2048):
+            for mu_spacing in (1e-9, 1e-6, 1e-3, 0.3, 0.99, 1.0):
+                spacing = mu_spacing / params.mu
+                new = SqrtOperator1D(params, n, spacing).weights
+                old = sqrt_table_gauss20(params, n, spacing)
+                assert np.max(np.abs(new - old)) <= 2e-15 * np.max(np.abs(old))
 
     def test_table_is_read_only(self):
         op = SqrtOperator1D(PARAMS, 16, 0.5)
@@ -225,6 +237,15 @@ class TestDiracMap:
         assert np.all(values >= 1.0)
         at_rest = {E for E, v in zip(energies, values) if v == 1.0}
         assert at_rest == {-1.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "m, c",
+        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+         (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)],
+    )
+    def test_mass_and_c_checked(self, m, c):
+        with pytest.raises(DomainError):
+            dirac_to_K_eigenvalue(2.0, m, c)
 
     def test_equally_spaced_energies_become_quadratic(self):
         E = np.arange(1.0, 6.0)
