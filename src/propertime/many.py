@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ _CS_H = 1e-30  # complex step of the exact table gradients
 class ParticleSystem:
     """Phase-space snapshot of n particles (free unless ``interaction`` given).
 
+    ``masses``, ``xs`` and ``ps`` are read-only float copies, so invariants are cached.
     ``interaction``, when present, is a total potential V({x_i}) added to
     H; the split of V among particles is not defined, so per-particle
     operations require a free system.
@@ -78,16 +80,16 @@ class ParticleSystem:
     interaction: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        xs = np.asarray(self.xs, dtype=float)
-        ps = np.asarray(self.ps, dtype=float)
+        m = np.atleast_1d(np.array(self.masses, dtype=float))
+        xs = np.array(self.xs, dtype=float)
+        ps = np.array(self.ps, dtype=float)
         if m.ndim != 1 or m.size < 1 or np.any(m <= 0.0):
             raise DomainError("need at least one particle with positive mass")
         if xs.shape != (m.size, 3) or ps.shape != (m.size, 3):
             raise DomainError("positions and momenta must have shape (n, 3)")
-        object.__setattr__(self, "masses", m)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ps", ps)
+        for name, a in (("masses", m), ("xs", xs), ("ps", ps)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -99,11 +101,21 @@ class ParticleSystem:
         ps = self.ps if ps is None else ps
         return np.sqrt(c**2 * np.sum(ps**2, axis=-1) + self.masses**2 * c**4)
 
-    def total_energy(self) -> float:
-        H = float(np.sum(self.particle_energies()))
+    @cached_property
+    def _snapshot(self):
+        """(H_i, invariants, X0), all read-only: the one derivation of H, P, M and the rest."""
+        c = self.units.c
+        hs = self.particle_energies()
+        H = float(np.sum(hs))
         if self.interaction is not None:
             H += float(self.interaction(self.xs))
-        return H
+        P = np.sum(self.ps, axis=0)
+        L = np.sum(hs[:, None] * self.xs, axis=0) / c**2
+        M, K, U, b = _mass_shell(H, P, c)
+        X0, J, S, X = _center(hs, self.xs, self.ps, H, P, M, c)
+        for a in (hs, P, L, U, X0, J, S, X):
+            a.flags.writeable = False
+        return hs, GlobalInvariants(H=H, P=P, J=J, L=L, M=M, K=K, U=U, b=b, S=S, X=X), X0
 
     def with_phase(self, xs: np.ndarray, ps: np.ndarray) -> "ParticleSystem":
         return ParticleSystem(
@@ -180,22 +192,15 @@ def _center(hs, xs, ps, H, P, M, c):
 
 def system_invariants(sys: ParticleSystem) -> GlobalInvariants:
     """P, J, L, M, K, U, b plus the spin and canonical center of mass."""
-    c = sys.units.c
-    hs = sys.particle_energies()
-    H = sys.total_energy()
-    P = np.sum(sys.ps, axis=0)
-    L = np.sum(hs[:, None] * sys.xs, axis=0) / c**2
-    M, K, U, b = _mass_shell(H, P, c)
-    _, J, S, X = _center(hs, sys.xs, sys.ps, H, P, M, c)
-    return GlobalInvariants(H=H, P=P, J=J, L=L, M=M, K=K, U=U, b=b, S=S, X=X)
+    return sys._snapshot[1]
 
 
 def clock_ratio(i, sys: ParticleSystem):
     """dtau_i/dtau = H m_i / (M H_i); an index array gives every ratio it
     names from one snapshot."""
     sys.require_free("clock_ratio")
-    inv = system_invariants(sys)
-    out = inv.H * sys.masses[i] / (inv.M * sys.particle_energies()[i])
+    hs, inv, _ = sys._snapshot
+    out = inv.H * sys.masses[i] / (inv.M * hs[i])
     return float(out) if out.ndim == 0 else out
 
 
@@ -378,12 +383,8 @@ def center_of_mass(sys: ParticleSystem) -> CenterOfMass:
     The spin correction makes {X_i, P_j} = delta_ij; for P = 0 the
     correction vanishes and X = X0.
     """
-    c = sys.units.c
-    H = sys.total_energy()
-    P = np.sum(sys.ps, axis=0)
-    M = _mass_shell(H, P, c)[0]
-    X0, _, S, X = _center(sys.particle_energies(), sys.xs, sys.ps, H, P, M, c)
-    return CenterOfMass(X0=X0, S=S, X=X)
+    _, inv, X0 = sys._snapshot
+    return CenterOfMass(X0=X0, S=inv.S, X=inv.X)
 
 
 @dataclass(frozen=True)
@@ -458,8 +459,7 @@ def free_flight(sys: ParticleSystem, dtau: float, n_steps: int) -> FreeTrajector
     if n_steps < 0:
         raise DomainError(f"n_steps must be non-negative, got {n_steps}")
     c = sys.units.c
-    inv = system_invariants(sys)
-    hs = sys.particle_energies()
+    hs, inv, _ = sys._snapshot
     v = inv.b * c * sys.ps / hs[:, None]
     taus = dtau * np.arange(n_steps + 1)
     xs = sys.xs[None, :, :] + taus[:, None, None] * v[None, :, :]

@@ -312,4 +312,6 @@ def dirac_to_K_eigenvalue(E: float, m: float, c: float = 1.0) -> float:
     """
     if not (0.0 < m < math.inf and 0.0 < c < math.inf):
         raise DomainError(f"mass and c must be finite and positive, got m = {m!r}, c = {c!r}")
-    return float(E**2 / (2.0 * m * c**2) + m * c**2 / 2.0)
+    # products, not powers: a float power raises OverflowError where a product gives inf
+    c2 = c * c
+    return float(E * E / (2.0 * m * c2) + m * c2 / 2.0)

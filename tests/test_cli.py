@@ -22,7 +22,7 @@ from propertime.cli import (
     scenario_muon,
     scenario_rest_source,
 )
-from propertime import verify
+from propertime import many, verify
 from propertime.constants import C_SI, MUON_LIFETIME_S
 from propertime.errors import PropertimeError
 from propertime.kinematics import NATURAL, SI, proper_from_observer, redshift_z
@@ -457,18 +457,37 @@ class TestRunConfig:
         x = np.array([float(r[1]) for r in rows])
         np.testing.assert_allclose(x, 0.25 * tau, rtol=1e-12, atol=1e-12)
 
-    def test_nbody_scenario(self, tmp_path):
-        cfg = write_config(
-            tmp_path, "nb.json", {"scenario": "nbody", "n": 3, "seed": 11}
-        )
-        out = tmp_path / "nb.csv"
-        assert run_config(cfg, out=str(out)) == 0
-        meta = {
-            l.split(" = ")[0][2:]: l.split(" = ")[1]
-            for l in out.read_text().splitlines()
-            if l.startswith("#")
-        }
-        assert float(meta["algebra_max_residual"]) < 1e-6
+    def test_nbody_scenario(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(owner, name):
+            f = getattr(owner, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counted(many, "_mass_shell")
+        counted(many, "_center")
+        counted(many.ParticleSystem, "particle_energies")
+        for n in (3, 10, 30):
+            calls.update(_mass_shell=0, _center=0, particle_energies=0)
+            cfg = write_config(
+                tmp_path, "nb.json", {"scenario": "nbody", "n": n, "seed": 11}
+            )
+            out = tmp_path / "nb.csv"
+            assert run_config(cfg, out=str(out)) == 0
+            # the invariants are derived once; the other 9 energies are the
+            # algebra table's rest energy and its 8 complex-step stacks
+            assert calls == {"_mass_shell": 1, "_center": 1, "particle_energies": 10}, n
+            meta = {
+                l.split(" = ")[0][2:]: l.split(" = ")[1]
+                for l in out.read_text().splitlines()
+                if l.startswith("#")
+            }
+            assert float(meta["algebra_max_residual"]) < 1e-6
 
     def test_nbody_explicit_particles(self, tmp_path):
         cfg = write_config(

@@ -40,6 +40,24 @@ class TestParticleSystem:
         with pytest.raises(DomainError):
             ParticleSystem(masses=[1.0, 2.0], xs=np.zeros((2, 2)), ps=np.zeros((2, 3)))
 
+    def test_arrays_are_read_only(self):
+        sys = ParticleSystem.random(3, np.random.default_rng(3))
+        for array in (sys.masses, sys.xs, sys.ps, system_invariants(sys).P,
+                      system_invariants(sys).X, center_of_mass(sys).X0):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_caller_inputs_are_copied(self):
+        masses, xs = [1.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        ps = np.random.default_rng(4).normal(size=(2, 3))
+        expected = system_invariants(ParticleSystem(masses=masses, xs=xs, ps=ps.copy()))
+        sys = ParticleSystem(masses=masses, xs=xs, ps=ps)
+        masses[0] = xs[1][0] = ps[0, 0] = 5.0
+        inv = system_invariants(sys)
+        assert (inv.H, inv.M) == (expected.H, expected.M)
+        np.testing.assert_array_equal(inv.P, expected.P)
+        np.testing.assert_array_equal(inv.X, expected.X)
+
 
 class TestSystemInvariants:
     def test_single_free_particle(self):
@@ -86,8 +104,10 @@ class TestSystemInvariants:
             ps=[[5.0, 0.0, 0.0]],
             interaction=lambda xs: -4.0,
         )
-        with pytest.raises(SpacelikeSystemError):
-            system_invariants(sys)
+        # twice: the failed derivation is not cached
+        for _ in range(2):
+            with pytest.raises(SpacelikeSystemError):
+                system_invariants(sys)
 
 
 class TestClockRatios:
@@ -371,13 +391,12 @@ def test_free_flight_center_of_mass_matches_per_step():
 
 def test_cross_products_equal_np_cross_bit_for_bit(monkeypatch):
     # (3,), (n, 3), (steps, n, 3) and the complex (3n, n, 3) stacks of the J
-    # table, against the same quantities with every cross product from np.cross
-    rng = np.random.default_rng(31)
-    systems = [ParticleSystem.random(n, rng, p_max=3.0) for n in (1, 2, 5, 30)]
-
+    # table, against the same quantities with every cross product from np.cross;
+    # the same systems are built anew each time, since a system caches its invariants
     def evaluate():
+        rng = np.random.default_rng(31)
         out = []
-        for sys in systems:
+        for sys in [ParticleSystem.random(n, rng, p_max=3.0) for n in (1, 2, 5, 30)]:
             inv = system_invariants(sys)
             out += [inv.J, inv.S, inv.X, center_of_mass(sys).X, free_flight(sys, 0.02, 25).X]
             out += list(verify_algebra(sys).values())

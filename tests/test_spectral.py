@@ -247,6 +247,11 @@ class TestDiracMap:
         with pytest.raises(DomainError):
             dirac_to_K_eigenvalue(2.0, m, c)
 
+    @pytest.mark.parametrize("E, m, c", [(1e200, 1.0, 1.0), (1.0, 1.0, 1e200)])
+    def test_overflow_saturates_to_inf(self, E, m, c):
+        # E^2 or c^2 beyond the float range: inf, as float64 arithmetic gives
+        assert dirac_to_K_eigenvalue(E, m, c) == math.inf
+
     def test_equally_spaced_energies_become_quadratic(self):
         E = np.arange(1.0, 6.0)
         K = np.array([dirac_to_K_eigenvalue(e, 1.0) for e in E])
