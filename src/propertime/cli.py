@@ -92,7 +92,7 @@ def _typed(data: dict, spec: dict, scenario: str) -> dict:
     return params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Validated scenario request; ``params`` holds typed values."""
 

@@ -146,7 +146,7 @@ class FieldConfiguration:
         return conf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseState:
     """Canonical pair (x, p) plus rest mass, charge and the clock reading."""
 
@@ -267,7 +267,7 @@ def approximate_rhs(state: PhaseState, fields: FieldConfiguration):
     return state.p / state.m, dp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForceDecomposition:
     """(c/b)[dp/dtau - (e/c) dA/dtau] split into its named pieces.
 
@@ -309,7 +309,7 @@ def coulomb_critical_radius(m: float, e_charge: float, units: UnitSystem = NATUR
     return float(e_over_c * e_over_c / m)
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitTrajectory:
     """Fixed-step orbit record: per-step tau, x, p, K, H and b."""
 

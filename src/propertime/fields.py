@@ -120,17 +120,8 @@ class SourceTrajectory:
 
     @classmethod
     def static(cls, e: float, x0, units: UnitSystem = NATURAL) -> "SourceTrajectory":
-        """Charge at rest at x0."""
-        x0 = _vec(x0)
-        zero = np.zeros(3)
-        traj = cls(
-            e=e,
-            position=lambda tau: x0,
-            velocity=lambda tau: zero,
-            acceleration=lambda tau: zero,
-            units=units,
-        )
-        return traj._straight(x0, zero)
+        """Charge at rest at x0: the uniform worldline with u = 0."""
+        return cls.uniform(e, x0, np.zeros(3), units)
 
     @classmethod
     def uniform(cls, e: float, x0, u, units: UnitSystem = NATURAL) -> "SourceTrajectory":
@@ -203,7 +194,8 @@ class SourceTrajectory:
             f0, f1 = antiderivative(np.array([t0, t1]))
             return float(f1 - f0)
 
-        return traj._with_path(path)
+        object.__setattr__(traj, "_path", path)
+        return traj
 
     def _straight(self, x0: np.ndarray, u: np.ndarray) -> "SourceTrajectory":
         """Attach the retarded-time solve of the worldline x0 + u tau.
@@ -224,10 +216,6 @@ class SourceTrajectory:
             return tau - np.where(q > 0.0, q / c2, -r2 / q)
 
         object.__setattr__(self, "_retarded", retarded)
-        return self
-
-    def _with_path(self, path: Callable[[float, float], float]) -> "SourceTrajectory":
-        object.__setattr__(self, "_path", path)
         return self
 
 
@@ -315,7 +303,7 @@ def _spline_evaluator(t, table):
     return at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldGeometry:
     """Retardation geometry at field points: r, |r|, s, r_u and b.
 
@@ -456,7 +444,7 @@ def _on_worldline(x, xbar) -> bool:
 
 
 def _closed_form_retarded(x, tau: float, traj: SourceTrajectory):
-    """tau' at every point of x (..., 3) on static() or uniform(), which span all tau."""
+    """tau' at every point of x (..., 3) on a straight worldline, which spans all tau."""
     if _on_worldline(x, traj.position(tau)):
         raise DegenerateGeometryError("field point lies on the source worldline")
     tau_ret = traj._retarded(x, tau)

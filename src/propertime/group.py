@@ -26,6 +26,7 @@ holds identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,20 +51,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoostParameters:
-    """Relative velocity between two inertial frames, with |v| < c."""
+    """Relative velocity between two inertial frames, with |v| < c.
+
+    ``v`` is a read-only copy, so gamma is computed once per boost.
+    """
 
     v: np.ndarray
     units: UnitSystem = NATURAL
 
     def __post_init__(self):
-        v = _vec(self.v)
+        v = _vec(self.v).copy()
+        v.flags.writeable = False
         object.__setattr__(self, "v", v)
         if v @ v >= self.units.c**2:
             raise DomainError(f"|v| = {np.sqrt(v @ v)} is not below c = {self.units.c}")
 
-    @property
+    @cached_property
     def gamma_v(self) -> float:
         return gamma(self.v, self.units)
 
@@ -148,7 +153,7 @@ def boost_lightspeed_inverse(b_prime: float, u_prime, boost: BoostParameters) ->
     return boost_lightspeed(b_prime, u_prime, BoostParameters(-boost.v, boost.units))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceDensities:
     """Charge density, current density and the proper velocity of the source.
 

@@ -122,7 +122,7 @@ def collaborative_speed(u, units: UnitSystem = NATURAL) -> float:
     return float(np.sqrt(units.c**2 + u @ u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicState:
     """Snapshot of a moving point on both clocks.
 

@@ -63,7 +63,7 @@ _FD_H = 1e-5  # relative central-difference step of phase_gradient
 _CS_H = 1e-30  # complex step of the exact table gradients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleSystem:
     """Phase-space snapshot of n particles (free unless ``interaction`` given).
 
@@ -140,7 +140,7 @@ class ParticleSystem:
         return cls(masses=masses, xs=xs, ps=ps, units=units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalInvariants:
     """The global observables of one snapshot."""
 
@@ -368,7 +368,7 @@ def verify_algebra(sys: ParticleSystem) -> dict:
     return res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterOfMass:
     """Energy centroid X0, spin S = J - X0 x P, and the canonical X."""
 
@@ -387,7 +387,7 @@ def center_of_mass(sys: ParticleSystem) -> CenterOfMass:
     return CenterOfMass(X0=X0, S=inv.S, X=inv.X)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSummary:
     """Local invariants of one cluster and its clock rate against t."""
 
@@ -433,7 +433,7 @@ def cluster_split(sys: ParticleSystem, partition: Sequence[Sequence[int]]):
     return clusters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreeTrajectory:
     """Recorded free evolution under the global generator."""
 

@@ -108,7 +108,7 @@ class KernelParameters:
         return self.m * self.c**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGridFunction:
     """Samples on a uniform 1-D grid (periodic for operator application)."""
 

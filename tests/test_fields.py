@@ -185,6 +185,18 @@ class TestFieldsOverManyPoints:
         with pytest.raises(DomainError):
             fields_at(np.zeros((4, 2)), 0.0, self.sources()["uniform"])
 
+    def test_static_is_uniform_at_rest(self):
+        static = self.sources()["static"]
+        uniform = SourceTrajectory.uniform(1.3, [0.3, -0.2, 0.5], np.zeros(3))
+        taus = np.array([-2.0, 0.0, 1.7, 5.0])
+        for name in ("position", "velocity"):
+            assert np.shape(getattr(static, name)(taus)) == np.shape(getattr(uniform, name)(taus))
+        rng = np.random.default_rng(18)
+        points = np.array([random_field_point(rng) for _ in range(9)])
+        for x in (points, points[4]):
+            for got, expected in zip(fields_at(x, 1.7, static), fields_at(x, 1.7, uniform)):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
 
 class TestRetardedTimeAgainstQuadrature:
     """Each path-integral route against brentq on adaptive quad, to the solve's tolerance."""

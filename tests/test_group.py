@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import einstein_velocity_composition
+from propertime import group
+from propertime.cli import scenario_transform
 from propertime.errors import DomainError
 from propertime.group import (
     BoostParameters,
@@ -19,7 +21,7 @@ from propertime.group import (
     density_transform_general,
     dstar,
 )
-from propertime.kinematics import collaborative_speed, gamma, observer_from_proper
+from propertime.kinematics import NATURAL, collaborative_speed, gamma, observer_from_proper
 
 RNG = np.random.default_rng(1234)
 
@@ -33,6 +35,31 @@ def random_boost(rng, top=0.99):
 def test_boost_parameters_reject_superluminal():
     with pytest.raises(DomainError):
         BoostParameters(np.array([1.0, 0.0, 0.0]))
+
+
+def test_boost_velocity_is_a_read_only_copy():
+    v = np.array([0.6, 0.0, 0.0])
+    boost = BoostParameters(v)
+    v[0] = 2.0  # superluminal, had the boost kept the caller's array
+    np.testing.assert_array_equal(boost.v, [0.6, 0.0, 0.0])
+    assert boost.gamma_v == 1.25
+    with pytest.raises(ValueError):
+        boost.v[0] = 0.9
+
+
+def test_gamma_computed_once_per_boost(monkeypatch):
+    # scenario_transform uses one boost and builds four inverse boosts
+    calls = []
+
+    def counted(w, units):
+        calls.append(1)
+        return gamma(w, units)
+
+    monkeypatch.setattr(group, "gamma", counted)
+    p = {"v": np.array([0.3, 0.2, -0.1]), "x": np.array([1.0, 2.0, 3.0]), "u": np.array([0.5, 0.1, 0.2]),
+         "a": np.array([0.1, 0.3, 0.2]), "tau": 1.5, "b_bar": None}
+    scenario_transform(p, NATURAL, 0)
+    assert len(calls) == 5
 
 
 class TestDstar:

@@ -7,9 +7,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import propertime
+from propertime import cli
 
 PHYSICS_MODULES = ("kinematics", "group", "fields", "dynamics", "many", "spectral")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -36,6 +38,54 @@ def test_module_exports_reach_the_package(name):
         and obj.__module__ == module.__name__
     }
     assert defined - set(module.__all__) == set()
+
+
+def _particles():
+    return propertime.ParticleSystem.random(3, np.random.default_rng(5))
+
+
+def _state():
+    return propertime.PhaseState(x=[3.0, 0.0, 0.0], p=[0.0, 0.5, 0.0], m=1.0, e=-1.0)
+
+
+# each builds a fresh record with array fields; two calls give equal values
+ARRAY_RECORDS = {
+    "KinematicState": lambda: propertime.KinematicState([1.0, 0, 0], [0, 0.5, 0], 0.0, 0.0),
+    "BoostParameters": lambda: propertime.BoostParameters([0.3, 0.0, 0.0]),
+    "SourceDensities": lambda: propertime.SourceDensities.convective(1.0, [0.5, 0.0, 0.0]),
+    "FieldGeometry": lambda: propertime.field_geometry(
+        np.array([3.0, 1.0, 0.0]), 0.0, propertime.SourceTrajectory.uniform(1.0, np.zeros(3), [0.5, 0, 0])),
+    "PhaseState": _state,
+    "ForceDecomposition": lambda: propertime.propertime_force(
+        _state(), propertime.FieldConfiguration.coulomb(1.0)),
+    "OrbitTrajectory": lambda: propertime.integrate_orbit(
+        _state(), propertime.FieldConfiguration.free(), 0.1, 3),
+    "ParticleSystem": _particles,
+    "GlobalInvariants": lambda: propertime.system_invariants(_particles()),
+    "CenterOfMass": lambda: propertime.center_of_mass(_particles()),
+    "ClusterSummary": lambda: propertime.cluster_split(_particles(), [[0, 1], [2]])[0],
+    "FreeTrajectory": lambda: propertime.free_flight(_particles(), 0.1, 3),
+    "RadialGridFunction": lambda: propertime.RadialGridFunction(np.arange(4.0), np.ones(4)),
+    "ScenarioConfig": lambda: cli.ScenarioConfig.from_mapping({"scenario": "transform", "v": [0.3, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_with_arrays_compare_by_identity(name):
+    # the generated __eq__ would take the truth value of an array and raise
+    first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and not first == second and first != second
+    assert hash(first) != hash(second) and len({first, first, second}) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: propertime.UnitSystem(c=2.5),
+    lambda: propertime.SourceTrajectory(1.0, abs, abs, abs),
+    lambda: propertime.KernelParameters(m=1.0, c=1.0, hbar=1.0, mu=1.0),
+])
+def test_records_without_arrays_compare_by_value(make):
+    assert make() == make() and hash(make()) == hash(make())
 
 
 def test_source_silences_no_warning():
