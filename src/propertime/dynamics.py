@@ -506,7 +506,7 @@ def integrate_orbit(
             k2 = f(y + h2 * k1)
             k3 = f(y + h2 * k2)
             k4 = f(y + h * k3)
-        except (RenormalizationPoleError, FloatingPointError, OverflowError) as exc:
+        except ArithmeticError as exc:  # RenormalizationPoleError is one too
             raise IntegrationAbort(k, str(exc)) from exc
         xp = (y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
         # one component at a time: their sum can overflow while each is finite

@@ -93,8 +93,8 @@ class SourceTrajectory:
     tau_min: float = -math.inf
     tau_max: float = math.inf
     units: UnitSystem = NATURAL
-    # (t0, t1) -> int_{t0}^{t1} b ds of the Newton solve, set by the
-    # constructor that tabulates it; None takes the general Gauss-Lobatto route
+    # (t0, t1) -> int_{t0}^{t1} b ds, which the Newton solve sums over its
+    # iterates, set by from_samples; None takes the general Gauss-Lobatto route
     _path: Optional[Callable[[float, float], float]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -462,9 +462,10 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     Newton steps on the exact derivative gap' = -(b/|r|) s inside a
     bracket, bisecting when a step leaves it.  The gap is strictly
     monotone because b > |u| along any worldline (s > 0), so the retarded
-    time is unique.  The path integral comes from the trajectory's own
-    path function, or for a worldline given only by callables as a
-    running sum over the iterates.  Both routes raise the same errors.
+    time is unique.  The path integral is a running sum over the iterates,
+    from the trajectory's own path function (``from_samples``) or, for a
+    worldline given only by callables, Gauss-Lobatto panels.  Both routes
+    raise the same errors.
     A non-finite field point or tau raises ``DomainError``.
     """
     x = _vec(x)
@@ -481,17 +482,8 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
         raise DegenerateGeometryError("field point lies on the source worldline")
     c = traj.units.c
     c2 = c**2
-    if traj._path is not None:
-        # tabulated: int_t^tau b ds in one call, with one rounding
-        def path_to(t, t_prev, path_prev):
-            return traj._path(t, tau)
-    else:
-        # a path error of tol shifts tau' by about tol |r| / (b s)
-        increment = _general_path(traj, 1e-2 * c * xtol)
-
-        def path_to(t, t_prev, path_prev):
-            return path_prev + increment(t, t_prev)
-
+    # a general path's error of tol shifts tau' by about tol |r| / (b s)
+    path = traj._path or _general_path(traj, 1e-2 * c * xtol)
     # gap(tau) = -dist < 0 and gap increases as tau' moves backward;
     # a probe that fails to bracket is a tighter upper end
     hi, path_hi, gap_hi = tau, 0.0, -dist_now
@@ -499,7 +491,7 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
     step = max(dist_now / c, 1e-6 * scale)
     for _ in range(200):
         probe = max(tau - step, traj.tau_min)
-        path_lo = path_to(probe, lo, path_lo)
+        path_lo += path(probe, lo)
         lo = probe
         r = x - traj.x(lo)
         gap_lo = path_lo - math.sqrt(r @ r)
@@ -548,7 +540,7 @@ def retarded_time(x, tau: float, traj: SourceTrajectory) -> float:
             r = x - traj.x(t)
             r_mag = math.sqrt(r @ r)
             break
-        path_t = path_to(new, t, path_t)
+        path_t += path(new, t)
         t = new
     else:
         raise RetardationError("retarded time did not converge")

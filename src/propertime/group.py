@@ -25,7 +25,7 @@ holds identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,22 +55,24 @@ __all__ = [
 class BoostParameters:
     """Relative velocity between two inertial frames, with |v| < c.
 
-    ``v`` is a read-only copy, so gamma is computed once per boost.
+    ``v`` is a read-only copy, so gamma, computed by :func:`gamma` (which
+    rejects |v| >= c and a NaN v), holds for the life of the boost.
     """
 
     v: np.ndarray
     units: UnitSystem = NATURAL
+    gamma_v: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _vec(self.v).copy()
         v.flags.writeable = False
         object.__setattr__(self, "v", v)
-        if v @ v >= self.units.c**2:
-            raise DomainError(f"|v| = {np.sqrt(v @ v)} is not below c = {self.units.c}")
+        object.__setattr__(self, "gamma_v", gamma(v, self.units))
 
     @cached_property
-    def gamma_v(self) -> float:
-        return gamma(self.v, self.units)
+    def inverse(self) -> "BoostParameters":
+        """The boost by -v, which undoes this one; its gamma equals this gamma."""
+        return BoostParameters(-self.v, self.units)
 
     @property
     def is_identity(self) -> bool:
@@ -108,7 +110,7 @@ def boost_event_inverse(x_prime, tau: float, b_bar_prime: float, boost: BoostPar
     time of the same event; b_bar' comes from the primed elapsed time (for
     constant velocity, b_bar' = b').
     """
-    return boost_event(x_prime, tau, b_bar_prime, BoostParameters(-boost.v, boost.units))
+    return boost_event(x_prime, tau, b_bar_prime, boost.inverse)
 
 
 def boost_velocity(u, boost: BoostParameters) -> np.ndarray:
@@ -122,7 +124,7 @@ def boost_velocity(u, boost: BoostParameters) -> np.ndarray:
 
 def boost_velocity_inverse(u_prime, boost: BoostParameters) -> np.ndarray:
     """u = gamma [u'* + (v/c) b']; undoes :func:`boost_velocity`."""
-    return boost_velocity(u_prime, BoostParameters(-boost.v, boost.units))
+    return boost_velocity(u_prime, boost.inverse)
 
 
 def boost_acceleration(a, u, boost: BoostParameters) -> np.ndarray:
@@ -137,7 +139,7 @@ def boost_acceleration(a, u, boost: BoostParameters) -> np.ndarray:
 
 def boost_acceleration_inverse(a_prime, u_prime, boost: BoostParameters) -> np.ndarray:
     """a = gamma {a'* + v (u'.a')/(b' c)}; undoes :func:`boost_acceleration`."""
-    return boost_acceleration(a_prime, u_prime, BoostParameters(-boost.v, boost.units))
+    return boost_acceleration(a_prime, u_prime, boost.inverse)
 
 
 def boost_lightspeed(b: float, u, boost: BoostParameters) -> float:
@@ -150,7 +152,7 @@ def boost_lightspeed(b: float, u, boost: BoostParameters) -> float:
 
 def boost_lightspeed_inverse(b_prime: float, u_prime, boost: BoostParameters) -> float:
     """b = gamma [b' + u'.v/c]; undoes :func:`boost_lightspeed`."""
-    return boost_lightspeed(b_prime, u_prime, BoostParameters(-boost.v, boost.units))
+    return boost_lightspeed(b_prime, u_prime, boost.inverse)
 
 
 @dataclass(frozen=True, eq=False)

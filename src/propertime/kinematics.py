@@ -92,11 +92,11 @@ def _dot(a, b):
 def gamma(w, units: UnitSystem = NATURAL) -> float:
     r"""Lorentz factor :math:`\gamma(w) = 1/\sqrt{1 - w^2/c^2}`.
 
-    Raises :class:`DomainError` for observer speeds at or above ``c``.
+    Raises :class:`DomainError` for a NaN speed or one at or above ``c``.
     """
     w = _vec(w)
     beta2 = (w @ w) / units.c**2
-    if beta2 >= 1.0:
+    if not beta2 < 1.0:  # NaN fails it too
         raise DomainError(f"|w| = {np.sqrt(w @ w)} is not below c = {units.c}")
     return float(1.0 / np.sqrt(1.0 - beta2))
 
@@ -200,8 +200,6 @@ def redshift_z(w=None, u=None, units: UnitSystem = NATURAL) -> RedshiftResult:
     if w is not None:
         w = _vec(w)
         w_mag = float(np.linalg.norm(w))
-        if w_mag >= units.c:
-            raise DomainError(f"|w| = {w_mag} is not below c")
         beta = w_mag / units.c
         u_mag = gamma(w, units) * w_mag
         b = units.c * math.sqrt(1.0 + (u_mag / units.c) ** 2)
@@ -211,6 +209,8 @@ def redshift_z(w=None, u=None, units: UnitSystem = NATURAL) -> RedshiftResult:
         b = collaborative_speed(u, units)
         beta = u_mag / b
         w_mag = beta * units.c
+    if not beta < 1.0:  # from u, b rounds to |u| above about 7e7 c
+        raise DomainError(f"beta = |u|/b rounds to {beta} at |u| = {u_mag}")
     z = math.sqrt((1.0 + beta) / (1.0 - beta)) - 1.0
     return RedshiftResult(
         z=z, beta=beta, w_mag=w_mag, u_mag=u_mag, b=b, z_small_speed=beta

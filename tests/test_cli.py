@@ -24,7 +24,7 @@ from propertime.cli import (
 )
 from propertime import many, verify
 from propertime.constants import C_SI, MUON_LIFETIME_S
-from propertime.errors import PropertimeError
+from propertime.errors import DomainError, PropertimeError
 from propertime.kinematics import NATURAL, SI, proper_from_observer, redshift_z
 from propertime.verify import Check
 
@@ -64,6 +64,18 @@ class TestRedshift:
     def test_rejects_superluminal(self):
         with pytest.raises(PropertimeError):
             redshift_z(w=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(PropertimeError):
+            redshift_z(w=np.array([math.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("u", [[1e8, 0.0, 0.0], [1e30, 0.0, -1e-300], [math.inf, 0.0, 0.0]])
+    def test_rejects_proper_speed_where_beta_rounds_to_one(self, u):
+        # b = sqrt(c^2 + u.u) rounds to |u|, so 1 - beta is 0
+        with pytest.raises(DomainError, match="rounds to"):
+            redshift_z(u=np.array(u))
+
+    def test_large_proper_speed_below_rounding_is_accepted(self):
+        res = redshift_z(u=np.array([1e7, 0.0, 0.0]))
+        assert res.beta < 1.0 and math.isfinite(res.z)
 
     def test_requires_exactly_one_input(self):
         with pytest.raises(PropertimeError):

@@ -873,12 +873,15 @@ def end(st, fields, dtau, n_steps, rhs=hamilton_rhs, **errstate):
         # the plain step finishes it and the raise end is a FloatingPointError
         (COULOMB, PhaseState([1e-40, 0, 0], [0.0, 1e-20, 0.0], m=1.0), 1e20, 5, hamilton_rhs,
          ["c7a40a7f934f7119", (RuntimeWarning, None), abort(0)]),
+        # stage 2 lands exactly on r = 0, where V divides by zero
+        (FieldConfiguration.coulomb(1e-30), PhaseState([0.05, 0, 0], [-1.0, 0.0, 0.0], m=1.0),
+         0.1, 3, hamilton_rhs, [abort(0)] * 3),
     ],
     ids=["origin", "momentum-overflow", "radius-cubed", "far", "free-position-overflow",
          "hand-over-midway", "approximate-rhs", "vector", "free-momentum-dot",
          "free-b-overflow", "free-b-over-c-overflow", "pole-stage-1", "pole-stage-1-only",
          "pole-stage-2", "pole-stage-3", "pole-stage-4", "dot-stage-3", "dot-stage-4",
-         "dot-stage-3-only"],
+         "dot-stage-3-only", "stage-2-at-origin"],
 )
 def test_hard_orbits_end_alike_on_both_routes(fields, st, dtau, n_steps, rhs, ends, errstate):
     # underflow ignored, numpy's default, keeps the plain route and its checks in play

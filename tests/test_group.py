@@ -21,7 +21,7 @@ from propertime.group import (
     density_transform_general,
     dstar,
 )
-from propertime.kinematics import NATURAL, collaborative_speed, gamma, observer_from_proper
+from propertime.kinematics import NATURAL, SI, collaborative_speed, gamma, observer_from_proper
 
 RNG = np.random.default_rng(1234)
 
@@ -35,6 +35,8 @@ def random_boost(rng, top=0.99):
 def test_boost_parameters_reject_superluminal():
     with pytest.raises(DomainError):
         BoostParameters(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DomainError, match="is not below c"):
+        BoostParameters(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_boost_velocity_is_a_read_only_copy():
@@ -48,18 +50,57 @@ def test_boost_velocity_is_a_read_only_copy():
 
 
 def test_gamma_computed_once_per_boost(monkeypatch):
-    # scenario_transform uses one boost and builds four inverse boosts
+    # scenario_transform uses one boost, and its four inverse maps share the
+    # one inverse boost
     calls = []
+    built = []
 
     def counted(w, units):
         calls.append(1)
         return gamma(w, units)
 
+    init = BoostParameters.__post_init__
+
+    def counted_init(self):
+        built.append(1)
+        init(self)
+
     monkeypatch.setattr(group, "gamma", counted)
+    monkeypatch.setattr(BoostParameters, "__post_init__", counted_init)
     p = {"v": np.array([0.3, 0.2, -0.1]), "x": np.array([1.0, 2.0, 3.0]), "u": np.array([0.5, 0.1, 0.2]),
          "a": np.array([0.1, 0.3, 0.2]), "tau": 1.5, "b_bar": None}
     scenario_transform(p, NATURAL, 0)
-    assert len(calls) == 5
+    assert len(calls) == 2
+    assert len(built) == 2
+
+
+def test_inverse_is_the_boost_by_minus_v():
+    boost = BoostParameters(np.array([0.3, -0.2, 0.1]))
+    assert boost.inverse is boost.inverse
+    np.testing.assert_array_equal(boost.inverse.v, -boost.v)
+    assert boost.inverse.gamma_v == boost.gamma_v
+    assert boost.inverse.units is boost.units
+
+
+@pytest.mark.parametrize("units", [NATURAL, SI])
+def test_inverse_maps_equal_the_forward_maps_by_minus_v(units):
+    # bit for bit, as when each inverse map built its own boost by -v
+    rng = np.random.default_rng(29)
+    boosts = [BoostParameters(np.zeros(3), units)]
+    boosts += [BoostParameters(random_boost(rng).v * units.c, units) for _ in range(100)]
+    for boost in boosts:
+        minus = BoostParameters(-boost.v, units)
+        x, u, a = rng.normal(size=(3, 3)) * units.c
+        tau = rng.normal()
+        b = collaborative_speed(u, units)
+        pairs = [
+            (boost_event_inverse(x, tau, b, boost), boost_event(x, tau, b, minus)),
+            (boost_velocity_inverse(u, boost), boost_velocity(u, minus)),
+            (boost_acceleration_inverse(a, u, boost), boost_acceleration(a, u, minus)),
+            (boost_lightspeed_inverse(b, u, boost), boost_lightspeed(b, u, minus)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDstar:

@@ -52,6 +52,8 @@ class TestGamma:
             gamma(vec(1.0))
         with pytest.raises(DomainError):
             gamma(vec(0.9, 0.9))
+        with pytest.raises(DomainError):
+            gamma(vec(math.nan))
 
     def test_scales_with_c(self):
         si = UnitSystem(c=299792458.0)
