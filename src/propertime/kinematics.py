@@ -165,14 +165,16 @@ def elapsed_observer_time(tau_grid, b_samples, units: UnitSystem = NATURAL) -> E
     b = np.asarray(b_samples, dtype=float)
     if tau.ndim != 1 or tau.size < 2 or tau.shape != b.shape:
         raise DomainError("need matching 1-D grids with at least two samples")
-    if np.any(np.diff(tau) <= 0.0):
+    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(b))):
+        raise DomainError("proper-time grid and speed samples must be finite")
+    if not np.all(np.diff(tau) > 0.0):
         raise DomainError("proper-time grid must be strictly increasing")
-    if np.any(b < units.c):
+    if not np.all(b >= units.c):
         raise DomainError("collaborative speed samples must satisfy b >= c")
     from scipy.integrate import simpson
 
     t = float(simpson(b, x=tau)) / units.c
-    span = tau[-1] - tau[0]
+    span = float(tau[-1] - tau[0])
     return ElapsedTime(t=t, b_bar=units.c * t / span)
 
 

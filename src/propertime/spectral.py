@@ -93,10 +93,11 @@ class KernelParameters:
     c: float
 
     def __post_init__(self):
-        if min(self.mu, self.hbar, self.m, self.c) <= 0.0:
-            raise DomainError("all kernel parameters must be positive")
+        if not all(0.0 < value < math.inf for value in (self.mu, self.hbar, self.m, self.c)):
+            raise DomainError(f"kernel parameters must be finite and positive, got {self}")
         expected = self.m * self.c / self.hbar
-        if abs(self.mu - expected) > 1e-14 * expected:
+        # an m c/hbar that overflows to inf matches no finite mu
+        if not abs(self.mu - expected) <= 1e-14 * expected < math.inf:
             raise DomainError(f"mu = {self.mu} inconsistent with m c/hbar = {expected}")
 
     @classmethod

@@ -156,6 +156,20 @@ class TestElapsedObserverTime:
         with pytest.raises(DomainError):
             elapsed_observer_time([0.0, 1.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("tau, b", [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 1.0]),
+        ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, math.inf, 1.0]),
+    ])
+    def test_rejects_non_finite_samples(self, tau, b):
+        with pytest.raises(DomainError, match="finite"):
+            elapsed_observer_time(tau, b)
+
+    def test_returns_floats(self):
+        elapsed = elapsed_observer_time([0.0, 1.0, 2.0], [1.0, 1.5, 1.0])
+        assert type(elapsed.t) is float and type(elapsed.b_bar) is float
+
 
 class TestKinematicState:
     def test_derived_quantities(self):

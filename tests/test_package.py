@@ -40,6 +40,34 @@ def test_module_exports_reach_the_package(name):
     assert defined - set(module.__all__) == set()
 
 
+def test_package_all_is_the_module_lists_in_import_order():
+    names = [n for name in PHYSICS_MODULES for n in importlib.import_module(f"propertime.{name}").__all__]
+    assert propertime.__all__ == names
+    assert len(names) == len(set(names)) == 83
+
+
+def test_star_import_binds_exactly_the_package_all():
+    out = run_fresh_python(textwrap.dedent("""
+        import json
+        import propertime
+        namespace = {}
+        exec("from propertime import *", namespace)
+        print(json.dumps([sorted(set(namespace) - {"__builtins__"}), sorted(propertime.__all__)]))
+    """))
+    bound, exported = json.loads(out)
+    assert bound == exported
+
+
+def test_ptcli_script_resolves_to_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["ptcli"]
+    module, _, attr = target.partition(":")
+    assert target == "propertime.cli:main"
+    assert getattr(importlib.import_module(module), attr) is cli.main
+
+
 def _particles():
     return propertime.ParticleSystem.random(3, np.random.default_rng(5))
 

@@ -27,6 +27,17 @@ class TestKernelParameters:
         with pytest.raises(DomainError):
             KernelParameters(mu=1.0001, hbar=1.0, m=1.0, c=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: KernelParameters.from_mass(math.nan),
+        lambda: KernelParameters.from_mass(math.inf),
+        lambda: KernelParameters(mu=1.0, hbar=1.0, m=1.0, c=math.nan),
+        # m c/hbar overflows to inf, which no finite mu matches
+        lambda: KernelParameters(mu=1.0, hbar=1e-300, m=1e300, c=1e300),
+    ])
+    def test_rejects_non_finite_values(self, make):
+        with pytest.raises(DomainError):
+            make()
+
     def test_from_mass(self):
         p = KernelParameters.from_mass(2.0, c=3.0, hbar=0.5)
         assert p.mu == pytest.approx(12.0)
