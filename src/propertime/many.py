@@ -18,11 +18,13 @@ orbital remainder :math:`\mathbf{S} = \mathbf{J} - \mathbf{X}_0 \times
 :math:`\mathbf{X}` is conjugate to :math:`\mathbf{P}` and every listed
 bracket of the algebra closes for free systems.
 
-Brackets are taken from phase gradients.  The observables of the algebra
-table are analytic and take leading batch axes, so their gradients come
-exact to rounding from the complex step :math:`\partial f/\partial q =
-\operatorname{Im} f(q + ih)/h`, all 3n directions of x in one evaluation
-and all of p in another.  :func:`phase_gradient` and
+Brackets are taken from phase gradients.  H, P, J and L sum analytic
+one-particle terms, so the complex step :math:`\partial f/\partial q =
+\operatorname{Im} f(q + ih)/h` gives their gradients exact to rounding
+with one coordinate of every particle stepped at once: three evaluations
+for x, three for p.  M and K take theirs from H and P by the chain rule,
+:math:`d(Mc^2) = (H\,dH - c^2\,\mathbf{P}\cdot d\mathbf{P})/Mc^2` and
+:math:`dK = (H/Mc^2)\,dH`.  :func:`phase_gradient` and
 :func:`poisson_bracket` take user callables, which need not accept
 complex input, and keep central differences.
 """
@@ -30,6 +32,7 @@ complex input, and keep central differences.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -37,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SpacelikeSystemError
-from .kinematics import NATURAL, UnitSystem, _cross
+from .kinematics import NATURAL, UnitSystem, _cross, _dot
 
 __all__ = [
     "ParticleSystem",
@@ -88,6 +91,8 @@ class ParticleSystem:
         if xs.shape != (m.size, 3) or ps.shape != (m.size, 3):
             raise DomainError("positions and momenta must have shape (n, 3)")
         for name, a in (("masses", m), ("xs", xs), ("ps", ps)):
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be finite")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -274,59 +279,43 @@ def poisson_bracket(f: Callable, g: Callable, sys: ParticleSystem) -> float:
     return float(_bracket(phase_gradient(f, sys), phase_gradient(g, sys)))
 
 
-def _stepped(q: np.ndarray) -> np.ndarray:
-    """q.size complex copies of ``q``; copy k has coordinate k stepped by i h."""
-    z = np.tile(q.astype(complex).ravel(), (q.size, 1))
-    np.fill_diagonal(z.imag, _CS_H)
-    return z.reshape((q.size,) + q.shape)
+def _term_gradient(term: Callable, sys: ParticleSystem):
+    """(df/dx, df/dp) of f, the sum of ``term``'s per-particle terms, exact to
+    rounding and shaped as ``phase_gradient``'s.
 
-
-def _exact_gradient(f: Callable, sys: ParticleSystem):
-    """(df/dx, df/dp) exact to rounding, shaped as ``phase_gradient``'s.
-
-    Complex step: df/dq = Im f(q + ih)/h, with no difference of nearby
-    values to lose digits.  ``f`` must be analytic in the phase and take
-    leading batch axes; one call on a (3n, n, 3) stack with each x
-    coordinate stepped in turn gives df/dx, one more gives df/dp.
+    ``term`` maps (xs, ps) to one analytic term per particle, of shape
+    (..., n) or (..., n, 3).  Term i depends on particle i alone, so one call
+    on three copies, copy a with coordinate a of every particle stepped,
+    gives df/dx, and one more gives df/dp.
     """
+    step = 1j * _CS_H * np.eye(3)[:, None, :]  # copy a steps coordinate a
     xs, ps = sys.xs, sys.ps
-    stack = (xs.size,) + xs.shape
-    gx = f(_stepped(xs), np.broadcast_to(ps, stack)).imag
-    gp = f(np.broadcast_to(xs, stack), _stepped(ps)).imag
-    # rows run over the 3n coordinates: move them last and split them (n, 3)
-    return tuple(np.moveaxis(g / _CS_H, 0, -1).reshape(g.shape[1:] + xs.shape) for g in (gx, gp))
+    gx = term(xs + step, ps + 0.0 * step).imag
+    gp = term(xs + 0.0 * step, ps + step).imag
+    # axes (copy a, particle i, f's components): move the first two last as (n, 3)
+    return tuple(np.moveaxis(g / _CS_H, (0, 1), (-1, -2)) for g in (gx, gp))
 
 
-def _observable_table(sys: ParticleSystem):
-    """H, M, K and the 3-vectors P, J, L as functions of (xs, ps).
+def _table_gradients(sys: ParticleSystem) -> dict:
+    """Phase gradients of H, M, K and the 3-vectors P, J, L.
 
-    Each sums over the particle axis -2, so leading axes of (xs, ps) are a
-    batch, and each is analytic in the phase, so complex steps pass through.
+    H, P, J and L sum the terms H_i, p_i, x_i x p_i and H_i x_i / c^2; M and
+    K follow from H and P, with the rest energy Mc^2 inside K held at its
+    conserved snapshot value when differentiating (as m is for one particle).
     """
     c = sys.units.c
-
-    def H(xs, ps):
-        return np.sum(sys.particle_energies(ps), axis=-1)
-
-    def Mc2(xs, ps):
-        P = np.sum(ps, axis=-2)
-        return np.sqrt(H(xs, ps) ** 2 - c**2 * np.sum(P * P, axis=-1))
-
-    # The rest energy entering K is the system's conserved invariant, held
-    # at its snapshot value when differentiating (as m is for one particle).
-    rest = float(Mc2(sys.xs, sys.ps))
-
-    def K(xs, ps):
-        return H(xs, ps) ** 2 / (2.0 * rest) + rest / 2.0
-
-    return {
-        "H": H,
-        "M": lambda xs, ps: Mc2(xs, ps) / c**2,
-        "K": K,
-        "P": lambda xs, ps: np.sum(ps, axis=-2),
-        "J": _angular_momentum,
-        "L": lambda xs, ps: np.sum(sys.particle_energies(ps)[..., None] * xs, axis=-2) / c**2,
+    inv = system_invariants(sys)
+    rest = inv.M * c**2
+    grads = {
+        "H": _term_gradient(lambda xs, ps: sys.particle_energies(ps), sys),
+        "P": _term_gradient(lambda xs, ps: ps, sys),
+        "J": _term_gradient(_cross, sys),
+        "L": _term_gradient(lambda xs, ps: sys.particle_energies(ps)[..., None] * xs / c**2, sys),
     }
+    pairs = list(zip(grads["H"], grads["P"]))
+    grads["M"] = tuple((inv.H * dH - c**2 * np.tensordot(inv.P, dP, 1)) / (rest * c**2) for dH, dP in pairs)
+    grads["K"] = tuple(inv.H / rest * dH for dH, _ in pairs)
+    return grads
 
 
 def verify_algebra(sys: ParticleSystem) -> dict:
@@ -337,7 +326,7 @@ def verify_algebra(sys: ParticleSystem) -> dict:
     """
     sys.require_free("verify_algebra")
     c = sys.units.c
-    grads = {name: _exact_gradient(fn, sys) for name, fn in _observable_table(sys).items()}
+    grads = _table_gradients(sys)
 
     def bracket(fa: str, fb: str) -> np.ndarray:
         return _bracket(grads[fa], grads[fb])
@@ -364,7 +353,7 @@ def verify_algebra(sys: ParticleSystem) -> dict:
         "{M,H}": bracket("M", "H"),
     }
     res = {name: float(np.max(np.abs(r))) for name, r in families.items()}
-    res["max"] = max(res.values())
+    res["max"] = float(np.max(list(res.values())))  # NaN propagates; max() keeps a leading 0.0
     return res
 
 
@@ -407,14 +396,17 @@ def cluster_split(sys: ParticleSystem, partition: Sequence[Sequence[int]]):
     """
     sys.require_free("cluster_split")
     c = sys.units.c
-    seen: list[int] = []
+    try:
+        groups = [[operator.index(i) for i in group] for group in partition]
+    except TypeError:
+        raise DomainError("partition must be a sequence of integer index sequences") from None
+    if not all(groups):
+        raise DomainError("empty cluster in partition")
+    if sorted(i for idx in groups for i in idx) != list(range(sys.n)):
+        raise DomainError("partition must cover every particle exactly once")
+    hs = sys._snapshot[0]
     clusters = []
-    hs = sys.particle_energies()
-    for group in partition:
-        idx = list(group)
-        if not idx:
-            raise DomainError("empty cluster in partition")
-        seen.extend(idx)
+    for idx in groups:
         H_k = float(np.sum(hs[idx]))
         P_k = np.sum(sys.ps[idx], axis=0)
         M_k, K_k, _, _ = _mass_shell(H_k, P_k, c)
@@ -428,8 +420,6 @@ def cluster_split(sys: ParticleSystem, partition: Sequence[Sequence[int]]):
                 dtau_dt=M_k * c**2 / H_k,
             )
         )
-    if sorted(seen) != list(range(sys.n)):
-        raise DomainError("partition must cover every particle exactly once")
     return clusters
 
 
@@ -490,8 +480,8 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
 
     K_i = H_i^2/(2 m_i c^2) + m_i c^2/2 is the particle generator on its
     own clock, and the clock ratios chain the local rates to the global
-    one.  ``W``'s gradient takes central differences, the K_i's the exact
-    complex step.
+    one.  K_i depends on particle i alone, so {W, K_i} is the row dot of
+    W's central-difference gradient with K_i's exact complex-step one.
     """
     sys.require_free("evolve_observable")
     c, m = sys.units.c, sys.masses
@@ -499,5 +489,7 @@ def evolve_observable(W: Callable, sys: ParticleSystem) -> float:
     def K_each(xs, ps):
         return sys.particle_energies(ps) ** 2 / (2.0 * m * c**2) + m * c**2 / 2.0
 
-    rates = _bracket(phase_gradient(W, sys), _exact_gradient(K_each, sys))
+    wx, wp = phase_gradient(W, sys)
+    kx, kp = _term_gradient(K_each, sys)
+    rates = _dot(wx, kp) - _dot(wp, kx)
     return float(clock_ratio(np.arange(sys.n), sys) @ rates)

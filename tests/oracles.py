@@ -5,7 +5,8 @@ code paths; these are the second routes of the dual-route checks.  Two
 exceptions: :func:`bracket_by_components` builds a vector bracket from the
 library's scalar ``poisson_bracket``, one component pair at a time, and
 :func:`radial_infall` is no oracle: it caches a library run that two tests
-read.
+read.  :func:`_exact_gradient` steps one phase coordinate per copy, the
+O(n^2) second route to the many-body module's one-particle-term gradients.
 """
 
 import decimal
@@ -312,6 +313,64 @@ def bracket_by_components(F, G, sys):
         for j in np.ndindex(shape_g):
             out[i + j] = poisson_bracket(component(F, i), component(G, j), sys)
     return out
+
+
+def _observable_table(sys):
+    """H, M, K and the 3-vectors P, J, L of a free system as functions of (xs, ps).
+
+    Written out from the definitions, not from the library's terms.  Each
+    sums over the particle axis -2, so leading axes of (xs, ps) are a
+    batch, and each is analytic in the phase, so complex steps pass through.
+    """
+    c, m = sys.units.c, sys.masses
+
+    def energies(ps):
+        return np.sqrt(c**2 * np.sum(ps**2, axis=-1) + m**2 * c**4)
+
+    def H(xs, ps):
+        return np.sum(energies(ps), axis=-1)
+
+    def Mc2(xs, ps):
+        P = np.sum(ps, axis=-2)
+        return np.sqrt(H(xs, ps) ** 2 - c**2 * np.sum(P * P, axis=-1))
+
+    # the rest energy entering K is held at its value at the phase point
+    rest = float(Mc2(sys.xs, sys.ps))
+
+    return {
+        "H": H,
+        "M": lambda xs, ps: Mc2(xs, ps) / c**2,
+        "K": lambda xs, ps: H(xs, ps) ** 2 / (2.0 * rest) + rest / 2.0,
+        "P": lambda xs, ps: np.sum(ps, axis=-2),
+        "J": lambda xs, ps: np.sum(np.cross(xs, ps), axis=-2),
+        "L": lambda xs, ps: np.sum(energies(ps)[..., None] * xs, axis=-2) / c**2,
+    }
+
+
+_CS_H = 1e-30  # complex step of _exact_gradient
+
+
+def _stepped(q):
+    """q.size complex copies of ``q``; copy k has coordinate k stepped by i h."""
+    z = np.tile(q.astype(complex).ravel(), (q.size, 1))
+    np.fill_diagonal(z.imag, _CS_H)
+    return z.reshape((q.size,) + q.shape)
+
+
+def _exact_gradient(f, sys):
+    """(df/dx, df/dp) exact to rounding, shaped as ``phase_gradient``'s.
+
+    The O(n^2) complex step that assumes nothing of ``f``'s structure: one
+    call on a (3n, n, 3) stack with each x coordinate stepped in turn gives
+    df/dx, one more gives df/dp.  ``f`` must be analytic in the phase and
+    take leading batch axes.
+    """
+    xs, ps = sys.xs, sys.ps
+    stack = (xs.size,) + xs.shape
+    gx = f(_stepped(xs), np.broadcast_to(ps, stack)).imag
+    gp = f(np.broadcast_to(xs, stack), _stepped(ps)).imag
+    # rows run over the 3n coordinates: move them last and split them (n, 3)
+    return tuple(np.moveaxis(g / _CS_H, 0, -1).reshape(g.shape[1:] + xs.shape) for g in (gx, gp))
 
 
 @functools.cache

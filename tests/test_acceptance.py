@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _observable_table,
     bessel_k_via_quadrature,
     einstein_velocity_composition,
     newtonian_orbit,
@@ -66,7 +67,6 @@ from propertime import (
     system_invariants,
     verify_algebra,
 )
-from propertime.many import _observable_table
 from propertime.spectral import (
     KernelParameters,
     RadialGridFunction,

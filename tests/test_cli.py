@@ -491,9 +491,9 @@ class TestRunConfig:
             )
             out = tmp_path / "nb.csv"
             assert run_config(cfg, out=str(out)) == 0
-            # the invariants are derived once; the other 9 energies are the
-            # algebra table's rest energy and its 8 complex-step stacks
-            assert calls == {"_mass_shell": 1, "_center": 1, "particle_energies": 10}, n
+            # the invariants are derived once; the other 4 energies are the
+            # complex-step stacks of the H and L terms, 2 each
+            assert calls == {"_mass_shell": 1, "_center": 1, "particle_energies": 5}, n
             meta = {
                 l.split(" = ")[0][2:]: l.split(" = ")[1]
                 for l in out.read_text().splitlines()

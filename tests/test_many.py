@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import bracket_by_components
+from oracles import _exact_gradient, _observable_table, bracket_by_components
 from propertime import many
 from propertime.errors import DomainError, SpacelikeSystemError
 from propertime.many import (
     ParticleSystem,
-    _observable_table,
     center_of_mass,
     clock_ratio,
     clock_ratio_speeds,
@@ -35,6 +36,14 @@ class TestParticleSystem:
     def test_rejects_non_positive_mass(self):
         with pytest.raises(DomainError):
             ParticleSystem(masses=[1.0, 0.0], xs=np.zeros((2, 3)), ps=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("field", ["masses", "xs", "ps"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        arrays = {"masses": np.ones(2), "xs": np.zeros((2, 3)), "ps": np.zeros((2, 3))}
+        arrays[field].flat[-1] = bad
+        with pytest.raises(DomainError):
+            ParticleSystem(**arrays)
 
     def test_rejects_positions_of_the_wrong_shape(self):
         with pytest.raises(DomainError):
@@ -159,6 +168,12 @@ class TestPerParticleSpeeds:
         u, v, b_i = per_particle_speeds(sys)
         assert np.max(np.linalg.norm(v, axis=1)) > 1.0
 
+    def test_speed_at_the_global_speed_rejected(self):
+        # at p_i = 1e9 m_i c, b_i rounds to |u_i|, so |v_i| = b here
+        sys = two_body((1e9, 0, 0), (-1e9, 0, 0))
+        with pytest.raises(DomainError, match="global collaborative speed"):
+            per_particle_speeds(sys)
+
     def test_speed_identity(self):
         for _ in range(30):
             sys = ParticleSystem.random(3, RNG)
@@ -219,19 +234,17 @@ class TestVectorBrackets:
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_algebra_evaluation_count(self, monkeypatch, n):
         sys = ParticleSystem.random(n, RNG)
-        table = many._observable_table
+        gradient = many._term_gradient
         calls = []
 
-        def counted(system):
-            def wrap(f):
-                return lambda xs, ps: calls.append(1) or f(xs, ps)
+        def counted(term, system):
+            return gradient(lambda xs, ps: calls.append(1) or term(xs, ps), system)
 
-            return {name: wrap(f) for name, f in table(system).items()}
-
-        monkeypatch.setattr(many, "_observable_table", counted)
+        monkeypatch.setattr(many, "_term_gradient", counted)
         verify_algebra(sys)
-        # one batched call per observable for all x directions, one for all p
-        assert len(calls) == 12
+        # the terms of H, P, J and L: one call for all x directions, one for
+        # all p, whatever n is; M and K take theirs from H and P
+        assert len(calls) == 8
 
 
 def fd_tolerance(f, sys):
@@ -250,13 +263,15 @@ def gradient_l1(grad):
 
 
 class TestExactGradients:
-    """The complex-step table gradients against the finite-difference routes."""
+    """The complex-step table gradients against the finite-difference and
+    coordinate-by-coordinate routes."""
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_table_gradients_within_finite_difference_error(self, n):
         sys = ParticleSystem.random(n, np.random.default_rng(n))
+        grads = many._table_gradients(sys)
         for name, f in _observable_table(sys).items():
-            exact = many._exact_gradient(f, sys)
+            exact = grads[name]
             fd = many.phase_gradient(f, sys)
             for e, d in zip(exact, fd):
                 assert e.shape == d.shape and e.dtype == float, name
@@ -266,7 +281,7 @@ class TestExactGradients:
     def test_brackets_within_finite_difference_error(self, n):
         sys = ParticleSystem.random(n, np.random.default_rng(10 + n))
         table = _observable_table(sys)
-        grads = {name: many._exact_gradient(f, sys) for name, f in table.items()}
+        grads = many._table_gradients(sys)
         for a, F in table.items():
             for b, G in table.items():
                 ref = bracket_by_components(F, G, sys)
@@ -277,6 +292,34 @@ class TestExactGradients:
                 ) * gradient_l1(grads[a])
                 assert got.shape == ref.shape, (a, b)
                 assert np.max(np.abs(got - ref), initial=0.0) <= tol, (a, b)
+
+    @pytest.mark.parametrize("n", [1, 3, 30, 300])
+    def test_table_gradients_match_coordinate_route(self, n):
+        # one-particle terms stepped together against one coordinate per copy
+        sys = ParticleSystem.random(n, np.random.default_rng(40 + n))
+        grads = many._table_gradients(sys)
+        table = _observable_table(sys)
+        assert sorted(grads) == sorted(table)
+        for name, f in table.items():
+            ref = _exact_gradient(f, sys)
+            # at n = 1, M = m and its chain-rule gradient is a cancellation
+            # of O(1) terms: relative to 1 at least
+            scale = max(1.0, *(float(np.max(np.abs(r))) for r in ref))
+            for got, r in zip(grads[name], ref):
+                assert got.shape == r.shape and got.dtype == float, name
+                assert np.max(np.abs(got - r)) <= 1e-14 * scale, name
+
+    def test_algebra_memory_is_linear_in_n(self):
+        # the (3n, n, 3) coordinate stack took a 432 MB peak at n = 1000
+        sys = ParticleSystem.random(1000, np.random.default_rng(1000))
+        tracemalloc.start()
+        try:
+            res = verify_algebra(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert res["max"] < 1e-9
 
     def test_thirty_particles_close_to_rounding(self):
         # central differences leave about 1e-8 here
@@ -299,6 +342,14 @@ class TestAlgebra:
             sys = ParticleSystem.random(3, RNG)
             res = verify_algebra(sys)
             assert res["max"] < 1e-6
+
+    def test_nan_residual_is_not_reported_as_exact(self):
+        # p = 1e200 overflows H_i, so most families are NaN; {P_i,P_j} is
+        # exactly 0 and comes first, and the maximum must not hide the rest
+        with np.errstate(all="ignore"):
+            sys = two_body((1e200, 0, 0), (0, 1, 0))
+            res = verify_algebra(sys)
+        assert res["{P_i,P_j}"] == 0.0 and np.isnan(res["max"])
 
     def test_single_particle_at_rest(self):
         res = verify_algebra(single_free())
@@ -379,6 +430,19 @@ class TestClusters:
             cluster_split(sys, [[0, 1]])
         with pytest.raises(DomainError):
             cluster_split(sys, [[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "partition", [[[0, 1, 2, 5]], [[0, 1], [2.0]], [[0, 1], [-1]], [0, 1, 2], [[0, 1], ["2"]]]
+    )
+    def test_invalid_indices_rejected_before_indexing(self, partition):
+        sys = ParticleSystem.random(3, RNG)
+        with pytest.raises(DomainError):
+            cluster_split(sys, partition)
+
+    def test_numpy_indices_accepted(self):
+        sys = ParticleSystem.random(3, RNG)
+        (whole,) = cluster_split(sys, [np.arange(3)])
+        assert whole.indices == (0, 1, 2) and whole.H == system_invariants(sys).H
 
 
 def test_free_flight_center_of_mass_matches_per_step():
@@ -490,7 +554,23 @@ class TestEvolveObservable:
 
             return wrapped
 
-        for route in ("phase_gradient", "_exact_gradient"):
+        for route in ("phase_gradient", "_term_gradient"):
             monkeypatch.setattr(many, route, counted(route))
         evolve_observable(lambda xs, ps: float(xs[0] @ ps[-1]), sys)
-        assert sorted(calls) == ["_exact_gradient", "phase_gradient"]
+        assert sorted(calls) == ["_term_gradient", "phase_gradient"]
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_matches_coordinate_route(self, n):
+        # every particle's K_i gradient from one (3n, n, 3) stack, bracketed
+        # with W over all 6n coordinates
+        sys = ParticleSystem.random(n, np.random.default_rng(60 + n))
+        c, m = sys.units.c, sys.masses
+        W = lambda xs, ps: float(xs[0] @ ps[-1] + ps[-1][2] ** 2 * xs[n // 2][1])
+
+        def K_each(xs, ps):
+            h = np.sqrt(c**2 * np.sum(ps**2, axis=-1) + m**2 * c**4)
+            return h**2 / (2.0 * m * c**2) + m * c**2 / 2.0
+
+        rates = many._bracket(many.phase_gradient(W, sys), _exact_gradient(K_each, sys))
+        expected = float(clock_ratio(np.arange(n), sys) @ rates)
+        assert evolve_observable(W, sys) == pytest.approx(expected, rel=1e-13, abs=1e-13)
